@@ -494,8 +494,9 @@ def certify_theorem(
     m: int, delta: int, element_budget: int = 10**6
 ) -> list[Certificate]:
     """Certify that the reference code is completely regular and
-    completely transitive, with its symmetry group enumerated, and that
-    the properties survive conjugation by a graph automorphism."""
+    completely transitive, with the exact order of its symmetry group
+    from a stabilizer chain, and that the properties survive conjugation
+    by a graph automorphism."""
     _check_supported(m, delta)
     reference = reference_code(m, delta)
     certs: list[Certificate] = []
@@ -512,8 +513,10 @@ def certify_theorem(
     )
 
     group = code_automorphism_group(reference, element_budget)
-    zero_stab = sum(1 for x in group.require_elements() if apply_mask(x, 0) == 0)
-    transitive = orbit_of(0, group.generators) == set(reference.words)
+    # orbit-stabilizer: |G_0| = |G| / |orbit of 0|
+    orbit = orbit_of(0, group.generators)
+    zero_stab = group.order // len(orbit)
+    transitive = orbit == set(reference.words)
     witness = {
         "generators": [format_automorphism(g) for g in group.generators],
         "order": group.order,
@@ -523,6 +526,7 @@ def certify_theorem(
     }
     certs.append(
         Certificate(
+            # the claim's wording is part of the pinned report bytes
             "the code's symmetry group was fully enumerated and acts "
             "transitively on the code",
             "theorem/automorphism-group",
@@ -756,6 +760,8 @@ def _replay_automorphism_group(report: dict, cert: Certificate, element_budget: 
     delta = report["parameters"]["min_distance"]
     reference = reference_code(m, delta)
     gens = _parse_generators(cert)
+    if any(g.degree != m for g in gens):
+        return False, f"a generator is not of degree {m}"
     words = set(reference.words)
     for g in gens:
         if {apply_mask(g, w) for w in reference.words} != words:
@@ -763,12 +769,17 @@ def _replay_automorphism_group(report: dict, cert: Certificate, element_budget: 
     closed = closure(gens, m, budget=element_budget)
     if closed.order != cert.witness["order"]:
         return False, f"closure order {closed.order} != {cert.witness['order']}"
-    zero_stab = sum(1 for x in closed.require_elements() if apply_mask(x, 0) == 0)
-    if zero_stab != cert.witness["zero_stabilizer_order"]:
+    # orbit-stabilizer: |G_0| = |G| / |orbit of 0|
+    orbit = orbit_of(0, gens)
+    zero_stab, rest = divmod(closed.order, len(orbit))
+    if rest or zero_stab != cert.witness["zero_stabilizer_order"]:
         return False, "zero stabilizer order does not replay"
-    if closed.order // zero_stab != cert.witness["code_orbit_index"]:
+    if len(orbit) != cert.witness["code_orbit_index"]:
         return False, "orbit index does not replay"
-    return cert.passed, f"order {closed.order}, stabilizer {zero_stab}"
+    transitive = orbit == words
+    if transitive != cert.witness["transitive_on_code"]:
+        return False, "transitivity on the code does not replay"
+    return cert.passed and transitive, f"order {closed.order}, stabilizer {zero_stab}"
 
 
 def _replay_complete_transitivity(report: dict, cert: Certificate):
@@ -801,8 +812,9 @@ def verify_report(report: dict, element_budget: int = 10**6):
     """Re-verify every certificate in a report from its witness payload.
 
     Returns a list of (anchor, ok, detail) triples; all searches are
-    replaced by direct recomputation, closure expansion, or witness
-    application.
+    replaced by direct recomputation, a stabilizer chain of the witness
+    generators, or witness application.  ``element_budget`` bounds the
+    order of any group the replay builds.
     """
     if report.get("schema") != SCHEMA:
         return [("schema", False, f"unknown schema {report.get('schema')!r}")]

@@ -2,8 +2,9 @@
 
 An automorphism is a coordinate-flip mask followed by a coordinate
 permutation (the full group is the semidirect product of the 2^m flips
-with S_m).  This module provides the group arithmetic, full closure
-enumeration with an element budget, orbit computations, setwise
+with S_m).  This module provides the group arithmetic, stabilizer
+chains (deterministic Schreier–Sims: exact order and membership, with
+an element budget on the order), orbit computations, setwise
 stabilizers of block families by individualization-refinement
 backtracking, full code automorphism groups, projections onto
 coordinate subsets, and code equivalence searches.
@@ -14,7 +15,8 @@ x first, then y", matching right-action exponent notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .codes import Code
@@ -115,19 +117,25 @@ def parse_automorphism(text: str) -> GraphAutomorphism:
 class GroupHandle:
     """A subgroup of the graph automorphism group, given by generators.
 
-    ``elements`` and ``order`` are populated once a closure has been
-    computed; the enumerated element list doubles as the certificate of
-    the order claims made about it.
+    ``order`` is set once a stabilizer chain has been built (``closure``);
+    the chain certifies the order and answers membership.  ``elements``
+    is listed from the chain on first request, at most once, and only
+    for callers that filter the group element by element.
     """
 
     length: int
     generators: tuple[GraphAutomorphism, ...]
     elements: tuple[GraphAutomorphism, ...] | None = None
     order: int | None = None
+    chain: StabilizerChain | None = field(default=None, repr=False, compare=False)
 
-    def require_elements(self) -> tuple[GraphAutomorphism, ...]:
+    def require_elements(
+        self, budget: int = DEFAULT_ELEMENT_BUDGET
+    ) -> tuple[GraphAutomorphism, ...]:
         if self.elements is None:
-            raise ValueError("group closure has not been computed")
+            if self.chain is None:
+                raise ValueError("group closure has not been computed")
+            object.__setattr__(self, "elements", self.chain.elements(budget))
         return self.elements
 
 
@@ -136,16 +144,151 @@ def trivial_group(m: int) -> GroupHandle:
     return GroupHandle(m, (), (e,), 1)
 
 
+def _literal_image(x: GraphAutomorphism, literal: int) -> int:
+    """Image of literal 2i+b (coordinate i holding bit b): x sends it to
+    coordinate perm[i] holding bit b ^ flip_i."""
+    i = literal >> 1
+    return 2 * x.perm[i] | ((literal ^ (x.flips >> i)) & 1)
+
+
+class StabilizerChain:
+    """A base and strong generating set, built by deterministic Schreier–Sims.
+
+    Level i is the subgroup fixing the literals 0, 2, ..., 2i-2
+    (coordinates 1..i holding bit 0).  It keeps its strong generators and
+    the orbit of its base literal 2i, each orbit point with a transversal
+    element carrying the base literal there and that element's inverse.
+    An automorphism is determined by the images of the m base literals,
+    so the base is complete for every subgroup: the order is the product
+    of the orbit lengths, and x is a member iff sifting strips it to the
+    identity.  All products go through ``compose`` and ``inverse``.
+    """
+
+    def __init__(self, m: int, generators: Iterable[GraphAutomorphism] = ()):
+        self.m = m
+        e = identity(m)
+        self.strong: list[list[GraphAutomorphism]] = [[] for _ in range(m)]
+        self.transversal: list[dict[int, tuple[GraphAutomorphism, GraphAutomorphism]]] = [
+            {2 * i: (e, e)} for i in range(m)
+        ]
+        # (orbit point, generator index) pairs whose Schreier generator is
+        # known to lie in the next level's group
+        self._tested: list[set[tuple[int, int]]] = [set() for _ in range(m)]
+        for g in generators:
+            self.add(g)
+
+    @property
+    def order(self) -> int:
+        return prod(len(t) for t in self.transversal)
+
+    def sift(
+        self, x: GraphAutomorphism, start: int = 0
+    ) -> tuple[GraphAutomorphism | None, int]:
+        """Strip x level by level from ``start``: (None, m) for a member,
+        else the residue and the level whose orbit misses its base image."""
+        for i in range(start, self.m):
+            point = _literal_image(x, 2 * i)
+            if point != 2 * i:
+                entry = self.transversal[i].get(point)
+                if entry is None:
+                    return x, i
+                x = compose(x, entry[1])
+        return None, self.m
+
+    def __contains__(self, x: GraphAutomorphism) -> bool:
+        return self.sift(x)[0] is None
+
+    def add(self, x: GraphAutomorphism) -> bool:
+        """Extend the group by x; False when x is already a member."""
+        if x.degree != self.m:
+            raise LengthError(f"automorphism degree {x.degree} vs chain length {self.m}")
+        residue, level = self.sift(x)
+        if residue is None:
+            return False
+        self._insert(residue, 0, level)
+        # Schreier–Sims: every level deeper than i is complete whenever
+        # level i is checked
+        i = level
+        while i >= 0:
+            found = self._schreier_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                residue, level = found
+                self._insert(residue, i + 1, level)
+                i = level
+        return True
+
+    def _insert(self, x: GraphAutomorphism, first: int, last: int) -> None:
+        """Make x a strong generator of levels first..last (it fixes the
+        base literals of every level before ``last``)."""
+        for i in range(first, last + 1):
+            strong, transversal = self.strong[i], self.transversal[i]
+            strong.append(x)
+            newest = len(strong) - 1
+            fresh = [
+                q for p in list(transversal) if (q := self._grow(i, p, newest)) is not None
+            ]
+            while fresh:
+                fresh = [
+                    q
+                    for p in fresh
+                    for b in range(len(strong))
+                    if (q := self._grow(i, p, b)) is not None
+                ]
+
+    def _grow(self, i: int, point: int, b: int) -> int | None:
+        """Follow generator b from an orbit point; the image if it is new."""
+        transversal = self.transversal[i]
+        s = self.strong[i][b]
+        image = _literal_image(s, point)
+        if image in transversal:
+            return None
+        u = compose(transversal[point][0], s)
+        transversal[image] = (u, inverse(u))
+        # its Schreier generator is the identity
+        self._tested[i].add((point, b))
+        return image
+
+    def _schreier_residue(self, i: int):
+        """The first untested Schreier generator of level i that the deeper
+        levels do not contain, sifted, with its level; None if there is none."""
+        transversal, tested = self.transversal[i], self._tested[i]
+        for point, (u, _) in transversal.items():
+            for b, s in enumerate(self.strong[i]):
+                if (point, b) in tested:
+                    continue
+                tested.add((point, b))
+                back = transversal[_literal_image(s, point)][1]
+                residue, level = self.sift(compose(compose(u, s), back), i + 1)
+                if residue is not None:
+                    return residue, level
+        return None
+
+    def elements(self, budget: int = DEFAULT_ELEMENT_BUDGET) -> tuple[GraphAutomorphism, ...]:
+        """Every element, sorted: each is u_(m-1) * ... * u_0 for exactly one
+        choice of transversal elements.  Raises ResourceBudgetError, before
+        listing anything, when the order exceeds ``budget``."""
+        if self.order > budget:
+            raise ResourceBudgetError(f"closure exceeded the element budget of {budget}")
+        listed = [identity(self.m)]
+        for transversal in reversed(self.transversal):
+            if len(transversal) > 1:
+                us = [u for u, _ in transversal.values()]
+                listed = [compose(x, u) for x in listed for u in us]
+        return tuple(sorted(listed))
+
+
 def closure(
     group: GroupHandle | Iterable[GraphAutomorphism],
     m: int | None = None,
     budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> GroupHandle:
-    """Enumerate the full subgroup generated by the given automorphisms.
+    """The subgroup generated by the given automorphisms, as a stabilizer
+    chain: exact order and membership without listing any element.
 
-    Breadth-first products over the generator set; in a finite group the
-    generated semigroup is the subgroup, so no explicit inverses are
-    needed.  Raises ResourceBudgetError past ``budget`` elements.
+    Raises ResourceBudgetError when the order exceeds ``budget``, so no
+    later listing of the elements can exceed it either.
     """
     if isinstance(group, GroupHandle):
         gens = group.generators
@@ -158,25 +301,10 @@ def closure(
             m = gens[0].degree
     e = identity(m)
     gens = tuple(g for g in dict.fromkeys(gens) if g != e)
-    seen = {e, *gens}
-    if len(seen) > budget:
+    chain = StabilizerChain(m, gens)
+    if chain.order > budget:
         raise ResourceBudgetError(f"closure exceeded the element budget of {budget}")
-    frontier = list(gens)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                z = compose(x, g)
-                if z not in seen:
-                    seen.add(z)
-                    if len(seen) > budget:
-                        raise ResourceBudgetError(
-                            f"closure exceeded the element budget of {budget}"
-                        )
-                    fresh.append(z)
-        frontier = fresh
-    elements = tuple(sorted(seen))
-    return GroupHandle(m, gens, elements, len(elements))
+    return GroupHandle(m, gens, order=chain.order, chain=chain)
 
 
 def orbit_of(start: int, gens: Sequence[GraphAutomorphism]) -> frozenset[int]:
@@ -367,46 +495,25 @@ def find_family_isomorphism(
     return None
 
 
-def _perm_closure(gens, m, budget=None):
-    e = tuple(range(m))
-    seen = {e, *gens}
-    frontier = [g for g in seen if g != e]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                z = tuple(g[p] for p in a)
-                if z not in seen:
-                    seen.add(z)
-                    if budget is not None and len(seen) > budget:
-                        raise ResourceBudgetError(
-                            f"closure exceeded the element budget of {budget}"
-                        )
-                    fresh.append(z)
-        frontier = fresh
-    return seen
-
-
 def _reduce_perm_generators(elements: Sequence[tuple[int, ...]], m: int):
-    """A small generating subset of an explicitly listed permutation group."""
+    """A small generating subset of an explicitly listed permutation group,
+    and the stabilizer chain of the group it generates."""
     target = len(elements)
     gens: list[tuple[int, ...]] = []
-    span = {tuple(range(m))}
+    chain = StabilizerChain(m)
     for e in sorted(elements):
-        if e in span:
-            continue
-        gens.append(e)
-        span = _perm_closure(gens, m)
-        if len(span) == target:
-            break
+        if chain.add(GraphAutomorphism(0, e)):
+            gens.append(e)
+            if chain.order == target:
+                break
     # drop generators that became redundant
     for g in list(gens):
         if len(gens) == 1:
             break
         rest = [h for h in gens if h != g]
-        if len(_perm_closure(rest, m)) == target:
+        if StabilizerChain(m, (GraphAutomorphism(0, h) for h in rest)).order == target:
             gens = rest
-    return gens
+    return gens, chain
 
 
 def setwise_stabilizer_perms(
@@ -418,7 +525,9 @@ def setwise_stabilizer_perms(
 
     Full enumeration by individualization-refinement backtracking; the
     element list is the order certificate.  The returned generators are
-    a reduced subset whose closure was re-checked against the list.
+    a reduced subset whose group was re-checked against the list: its
+    chain order equals the list's length and every listed element sifts
+    through the chain.
     """
     if not family:
         raise ValueError("the block family must be nonempty")
@@ -430,11 +539,10 @@ def setwise_stabilizer_perms(
             raise ResourceBudgetError(
                 f"stabilizer exceeded the element budget of {element_budget}"
             )
-    gens = _reduce_perm_generators(perms, m)
-    span = _perm_closure(gens, m)
-    if span != set(perms):
-        raise AssertionError("stabilizer search did not return a closed set")
+    gens, chain = _reduce_perm_generators(perms, m)
     elements = tuple(GraphAutomorphism(0, p) for p in sorted(perms))
+    if chain.order != len(set(perms)) or not all(x in chain for x in elements):
+        raise AssertionError("stabilizer search did not return a closed set")
     generators = tuple(GraphAutomorphism(0, p) for p in gens)
     return GroupHandle(m, generators, elements, len(elements))
 
@@ -446,8 +554,10 @@ def code_automorphism_group(
 
     Computed as: the permutation stabilizer of the (zero-shifted) word
     family, one transversal element mapping the zero word to each
-    reachable codeword, then full closure.  Every transversal witness is
-    verified to lie in the enumerated closure.
+    reachable codeword, then the stabilizer chain of a generating subset.
+    Every transversal witness is proved a member by sifting, and the
+    chain order must equal the stabilizer order times the orbit length
+    of the zero word.
     """
     m = code.length
     base = code.words[0]
@@ -474,41 +584,35 @@ def code_automorphism_group(
             break
         if apply_mask(x, 0) not in orbit_of(0, chosen):
             chosen.append(x)
-    closed = closure(chosen, m, budget=element_budget)
-    elements = set(closed.require_elements())
-    for x in transversals:
-        if x not in elements:
-            raise AssertionError("transversal missing from the closure")
-    generators = tuple(stab_gens + transversals)
+    # the pure translation by the least word is an involution carrying
+    # the shifted family back onto the original code
+    shift = GraphAutomorphism(base, tuple(range(m)))
 
-    if base:
-        # the pure translation by the least word is an involution carrying
-        # the shifted family back onto the original code
-        shift = GraphAutomorphism(base, tuple(range(m)))
+    def conj(xs: list[GraphAutomorphism]) -> tuple[GraphAutomorphism, ...]:
+        return tuple(compose(compose(shift, x), shift) for x in xs)
 
-        def conj(x: GraphAutomorphism) -> GraphAutomorphism:
-            return compose(compose(shift, x), shift)
-
-        generators = tuple(conj(x) for x in generators)
-        elements = {conj(x) for x in elements}
-    element_tuple = tuple(sorted(elements))
+    closed = closure(conj(chosen), m, budget=element_budget)
+    generators = conj(stab_gens + transversals)
+    if not all(x in closed.chain for x in generators):
+        raise AssertionError("a generator is missing from the closure")
+    if closed.order != stab.order * len(orbit_of(base, generators)):
+        raise AssertionError("closure order is not stabilizer order times orbit length")
     for g in generators:
         image = {apply_mask(g, w) for w in code.words}
         if image != set(code.words):
             raise AssertionError("generator does not stabilize the code")
-    return GroupHandle(m, generators, element_tuple, len(element_tuple))
+    return GroupHandle(m, generators, order=closed.order, chain=closed.chain)
 
 
 def vertex_stabilizer(group: GroupHandle, mask: int) -> GroupHandle:
-    """The subgroup fixing one vertex, filtered from an enumerated closure."""
+    """The subgroup fixing one vertex, filtered from the listed elements."""
     elements = tuple(
         x for x in group.require_elements() if apply_mask(x, mask) == mask
     )
     perms = [x.perm for x in elements if x.flips == 0]
     if len(perms) == len(elements):
-        gens = tuple(
-            GraphAutomorphism(0, p) for p in _reduce_perm_generators(perms, group.length)
-        )
+        reduced, _ = _reduce_perm_generators(perms, group.length)
+        gens = tuple(GraphAutomorphism(0, p) for p in reduced)
     else:
         gens = elements
     return GroupHandle(group.length, gens, elements, len(elements))
@@ -548,8 +652,8 @@ def project_group(group: GroupHandle, coords) -> GroupHandle:
         return GraphAutomorphism(flips, perm)
 
     gens = tuple(chi(x) for x in group.generators)
-    if group.elements is not None:
-        images = sorted({chi(x) for x in group.elements})
+    if group.order is not None:
+        images = sorted({chi(x) for x in group.require_elements()})
         return GroupHandle(len(js), gens, tuple(images), len(images))
     return GroupHandle(len(js), gens)
 
@@ -557,7 +661,7 @@ def project_group(group: GroupHandle, coords) -> GroupHandle:
 def projection_is_injective(group: GroupHandle, coords) -> bool:
     """Whether the induced action separates the (closed) group's elements."""
     projected = project_group(group, coords)
-    return projected.order == len(group.require_elements())
+    return projected.order == group.order
 
 
 def find_equivalence(

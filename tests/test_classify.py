@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -176,3 +177,69 @@ def test_failed_run_report_still_replays():
     report = build_report(run)
     for anchor, ok, detail in verify_report(report):
         assert ok, f"{anchor}: {detail}"
+
+
+# SHA-256 of report_json(build_report(classify(m, d), certify_theorem(m, d))).
+# A change to any witness byte needs an explicit schema bump.
+PINNED_REPORT_SHA256 = {
+    12: "7152d5ab54c39bf57e51fe6929f294360f44c7e30fc3506b0724c456a76c4dc1",
+    11: "6c53e74ecb6ba126ce8c99ce0039ea4506b0589d3b06ab071cfc0e99b9abbf56",
+}
+
+
+def test_reports_are_pinned(report12, report11):
+    for m, report in ((12, report12), (11, report11)):
+        digest = hashlib.sha256(report_json(report).encode()).hexdigest()
+        assert digest == PINNED_REPORT_SHA256[m], f"length-{m} report bytes changed"
+
+
+def _aut_group_result(report, edit, **kwargs):
+    tampered = json.loads(report_json(report))
+    step = next(
+        s for s in tampered["steps"] if s["anchor"] == "theorem/automorphism-group"
+    )
+    edit(step["witness"])
+    results = verify_report(tampered, **kwargs)
+    return next(r for r in results if r[0] == "theorem/automorphism-group")
+
+
+def _double_order(w):
+    w["order"] *= 2
+
+
+def _change_zero_stabilizer(w):
+    w["zero_stabilizer_order"] += 1
+
+
+def _keep_stabilizer_generators(w):
+    # the zero-word stabilizer's generators carry no flips; the order is kept
+    w["generators"] = [g for g in w["generators"] if "1" not in g.split("|")[0]]
+    assert w["generators"]
+
+
+def _wrong_degree_generator(w):
+    w["generators"][0] = "0000000000|" + " ".join(str(i) for i in range(1, 11))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _double_order,
+        _change_zero_stabilizer,
+        _keep_stabilizer_generators,
+        _wrong_degree_generator,
+    ],
+    ids=["order-doubled", "zero-stabilizer", "stabilizer-generators-only", "wrong-degree"],
+)
+def test_replay_rejects_tampered_automorphism_group(report11, edit):
+    anchor, ok, detail = _aut_group_result(report11, edit)
+    assert not ok, detail
+    assert not detail.startswith("replay error"), detail
+
+
+def test_replay_budget_fails_the_group_step(report11):
+    anchor, ok, detail = _aut_group_result(
+        report11, lambda w: None, element_budget=1000
+    )
+    assert not ok
+    assert "1000" in detail

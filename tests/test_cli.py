@@ -198,3 +198,9 @@ def test_thread_flag_validation(code12_file):
 def test_usage_error_exit_code():
     result = run_cli("nonsense")
     assert result.returncode == 2
+
+
+def test_aut_element_budget_is_a_usage_error(code12_file):
+    result = run_cli("aut", str(code12_file), "--element-budget", "1000")
+    assert result.returncode == 2
+    assert "1000" in result.stderr

@@ -120,22 +120,22 @@ class GroupHandle:
     ``order`` is set once a stabilizer chain has been built (``closure``);
     the chain certifies the order and answers membership.  ``elements``
     is listed from the chain on first request, at most once, and only
-    for callers that filter the group element by element.
+    for callers that filter the group element by element; ``closure``
+    has already held the order to its element budget.  The listing is
+    derived data, so it takes no part in equality or hashing.
     """
 
     length: int
     generators: tuple[GraphAutomorphism, ...]
-    elements: tuple[GraphAutomorphism, ...] | None = None
+    elements: tuple[GraphAutomorphism, ...] | None = field(default=None, compare=False)
     order: int | None = None
     chain: StabilizerChain | None = field(default=None, repr=False, compare=False)
 
-    def require_elements(
-        self, budget: int = DEFAULT_ELEMENT_BUDGET
-    ) -> tuple[GraphAutomorphism, ...]:
+    def require_elements(self) -> tuple[GraphAutomorphism, ...]:
         if self.elements is None:
             if self.chain is None:
                 raise ValueError("group closure has not been computed")
-            object.__setattr__(self, "elements", self.chain.elements(budget))
+            object.__setattr__(self, "elements", self.chain.elements())
         return self.elements
 
 
@@ -265,12 +265,9 @@ class StabilizerChain:
                     return residue, level
         return None
 
-    def elements(self, budget: int = DEFAULT_ELEMENT_BUDGET) -> tuple[GraphAutomorphism, ...]:
+    def elements(self) -> tuple[GraphAutomorphism, ...]:
         """Every element, sorted: each is u_(m-1) * ... * u_0 for exactly one
-        choice of transversal elements.  Raises ResourceBudgetError, before
-        listing anything, when the order exceeds ``budget``."""
-        if self.order > budget:
-            raise ResourceBudgetError(f"closure exceeded the element budget of {budget}")
+        choice of transversal elements."""
         listed = [identity(self.m)]
         for transversal in reversed(self.transversal):
             if len(transversal) > 1:
@@ -287,8 +284,9 @@ def closure(
     """The subgroup generated by the given automorphisms, as a stabilizer
     chain: exact order and membership without listing any element.
 
-    Raises ResourceBudgetError when the order exceeds ``budget``, so no
-    later listing of the elements can exceed it either.
+    Raises ResourceBudgetError when the order exceeds ``budget``, before
+    any element is listed; the handle's lazy listing is therefore held to
+    the same budget.
     """
     if isinstance(group, GroupHandle):
         gens = group.generators
@@ -661,7 +659,7 @@ def project_group(group: GroupHandle, coords) -> GroupHandle:
 def projection_is_injective(group: GroupHandle, coords) -> bool:
     """Whether the induced action separates the (closed) group's elements."""
     projected = project_group(group, coords)
-    return projected.order == group.order
+    return projected.order == len(group.require_elements())
 
 
 def find_equivalence(

@@ -103,18 +103,27 @@ def test_chain_rejects_a_wrong_degree():
         closure([GraphAutomorphism(0, (1, 0, 2, 3)), GraphAutomorphism(1, (0, 1, 2))])
 
 
-def test_lazy_listing_checks_the_budget_first():
+def test_lazy_listing_is_held_to_the_closure_budget():
     cyc = GraphAutomorphism(0, tuple((i + 1) % 8 for i in range(8)))
     flip = GraphAutomorphism(1, tuple(range(8)))
-    group = closure([cyc, flip])
+    with pytest.raises(ResourceBudgetError, match="2047"):
+        closure([cyc, flip], budget=2047)
+    group = closure([cyc, flip], budget=2048)
     assert group.order == 2048
-    assert group.elements is None
-    with pytest.raises(ResourceBudgetError, match="100"):
-        group.require_elements(budget=100)
     assert group.elements is None
     listed = group.require_elements()
     assert len(listed) == 2048
     assert group.require_elements() is listed
+
+
+def test_listing_leaves_equality_and_hash_unchanged():
+    gens = [GraphAutomorphism(0, (1, 2, 0)), GraphAutomorphism(1, (0, 1, 2))]
+    group, twin = closure(gens), closure(gens)
+    before = hash(group)
+    group.require_elements()
+    assert group.elements is not None and twin.elements is None
+    assert group == twin
+    assert hash(group) == before == hash(twin)
 
 
 @pytest.mark.parametrize(

@@ -251,6 +251,15 @@ def test_projection_kernel_trivial_on_coordinate_stabilizer(aut12):
     assert projection_is_injective(stab1, range(2, 13))
 
 
+def test_projection_is_injective_needs_a_closed_group():
+    swaps = (GraphAutomorphism(0, (1, 0, 2, 3)), GraphAutomorphism(0, (0, 1, 3, 2)))
+    with pytest.raises(ValueError, match="closure"):
+        projection_is_injective(GroupHandle(4, swaps), [1, 2])
+    group = closure(swaps)
+    assert not projection_is_injective(group, [1, 2])
+    assert projection_is_injective(group, [1, 2, 3, 4])
+
+
 def test_project_group_identity():
     e = identity(6)
     projected = project_group(GroupHandle(6, (e,), (e,), 1), [2, 3, 5])

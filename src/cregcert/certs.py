@@ -9,7 +9,6 @@ reports serialize deterministically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 SCHEMA = "creg-cert/1"
@@ -49,11 +48,6 @@ class Certificate:
             witness=data.get("witness", {}),
             verdict=data["verdict"],
         )
-
-
-def certificate_json(payload: dict) -> str:
-    """Canonical JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def fraction_str(value) -> str:

@@ -28,7 +28,7 @@ from .designs import (
     lambda_i,
 )
 from .hadamard import code_of, paley_hadamard_12
-from .hamming import format_mask, parse_mask
+from .hamming import format_mask, parse_mask, points_to_mask
 from .regularity import (
     certify_completely_regular,
     certify_completely_transitive,
@@ -46,6 +46,7 @@ from .symmetry import (
     inverse,
     orbit_of,
     parse_automorphism,
+    permute_mask,
 )
 
 SUPPORTED = {(12, 6): 24, (11, 5): 24}
@@ -619,13 +620,7 @@ def _replay_block_count(report: dict, cert: Certificate):
 
 
 def _witness_blocks(cert: Certificate, key: str = "representative_blocks"):
-    blocks = []
-    for pts in cert.witness[key]:
-        mask = 0
-        for p in pts:
-            mask |= 1 << (p - 1)
-        blocks.append(mask)
-    return blocks
+    return [points_to_mask(pts) for pts in cert.witness[key]]
 
 
 def _replay_design_uniqueness(report: dict, cert: Certificate):
@@ -726,13 +721,7 @@ def _replay_equivalence(report: dict, cert: Certificate):
     perm = tuple(p - 1 for p in sigma)
     if sorted(perm) != list(range(m)):
         return False, "sigma is not a permutation"
-    image = set()
-    for w in candidate:
-        out = 0
-        for i, p in enumerate(perm):
-            if (w >> i) & 1:
-                out |= 1 << p
-        image.add(out)
+    image = {permute_mask(perm, w) for w in candidate}
     reference = set(reference_code(m, delta).words)
     return image == reference, "sigma carries the candidate onto the reference"
 

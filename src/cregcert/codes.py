@@ -230,9 +230,3 @@ class DistancePartition:
 
     def cell_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
-
-    def cell_index_of(self, mask: int) -> int:
-        for i, cell in enumerate(self.cells):
-            if mask in cell:
-                return i
-        raise KeyError(mask)

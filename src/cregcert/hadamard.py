@@ -269,11 +269,6 @@ def transfer_from_code_automorphism(
     return MatrixAutomorphism(p, u)
 
 
-def code_automorphism_from_matrix(pair: MatrixAutomorphism) -> GraphAutomorphism:
-    """The inverse direction of the transfer: tau then theta."""
-    return theta(pair.right)
-
-
 def apply_code_map(u: Monomial, code: Code) -> Code:
     """The code image under the graph automorphism associated with u."""
     x = theta(u)

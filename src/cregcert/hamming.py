@@ -98,15 +98,6 @@ def ksubset_masks(m: int, k: int) -> Iterator[int]:
         v = ripple | (((v ^ ripple) // low) >> 2)
 
 
-def all_masks(m: int) -> range:
-    return range(1 << m)
-
-
-def mask_support(mask: int, m: int) -> tuple[int, ...]:
-    """1-based coordinates set in mask, ascending."""
-    return tuple(i + 1 for i in range(m) if (mask >> i) & 1)
-
-
 def points_to_mask(points) -> int:
     mask = 0
     for p in points:

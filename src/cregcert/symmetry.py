@@ -5,9 +5,10 @@ permutation (the full group is the semidirect product of the 2^m flips
 with S_m).  This module provides the group arithmetic, stabilizer
 chains (deterministic Schreier–Sims: exact order and membership, with
 an element budget on the order), orbit computations, setwise
-stabilizers of block families by individualization-refinement
-backtracking, full code automorphism groups, projections onto
-coordinate subsets, and code equivalence searches.
+stabilizers of block families by base-point backtracking with orbit
+pruning (a chain and generators, no element list), full code
+automorphism groups, projections onto coordinate subsets, and code
+equivalence searches.
 
 Composition convention, fixed globally: ``compose(x, y)`` means "apply
 x first, then y", matching right-action exponent notation.
@@ -179,7 +180,11 @@ class StabilizerChain:
 
     @property
     def order(self) -> int:
-        return prod(len(t) for t in self.transversal)
+        return self.stabilizer_order(0)
+
+    def stabilizer_order(self, level: int) -> int:
+        """Order of level ``level``: the subgroup fixing its earlier base literals."""
+        return prod(len(t) for t in self.transversal[level:])
 
     def sift(
         self, x: GraphAutomorphism, start: int = 0
@@ -393,10 +398,6 @@ def _refine_point_colors(family: Sequence[int], m: int) -> tuple[int, ...]:
         colors = fresh
 
 
-class _SearchBudget(Exception):
-    pass
-
-
 class _FamilyMatcher:
     """Backtracking search for permutations mapping one block family
     onto another (or itself, for setwise stabilizers).
@@ -412,12 +413,9 @@ class _FamilyMatcher:
         self.dst = tuple(sorted(set(dst)))
         self.dst_set = frozenset(self.dst)
         self.sizes = [b.bit_count() for b in self.src]
-        self.dst_by_size: dict[int, tuple[int, ...]] = {}
+        self.dst_by_size: dict[int, list[int]] = {}
         for b in self.dst:
-            self.dst_by_size.setdefault(b.bit_count(), [])
-        for b in self.dst:
-            self.dst_by_size[b.bit_count()].append(b)
-        self.dst_by_size = {s: tuple(v) for s, v in self.dst_by_size.items()}
+            self.dst_by_size.setdefault(b.bit_count(), []).append(b)
         self.blocks_through = [[] for _ in range(m)]
         for bi, block in enumerate(self.src):
             for i in range(m):
@@ -433,8 +431,9 @@ class _FamilyMatcher:
             for p in range(m)
         ]
 
-    def search(self, node_budget: int | None = None):
-        """Yield image tuples (one per matching permutation)."""
+    def search(self, prefix: Sequence[int] = ()):
+        """Yield image tuples (one per matching permutation) in
+        lexicographic order; point i < len(prefix) is pinned to prefix[i]."""
         if not self.compatible:
             return
         m = self.m
@@ -442,7 +441,6 @@ class _FamilyMatcher:
         partial = [0] * len(self.src)
         free = list(self.sizes)
         used = 0
-        nodes = 0
 
         def feasible(bi: int) -> bool:
             pmask = partial[bi]
@@ -454,17 +452,17 @@ class _FamilyMatcher:
             return False
 
         def extend(p: int):
-            nonlocal used, nodes
+            nonlocal used
             if p == m:
                 yield tuple(image)
                 return
-            for q in self.candidates[p]:
+            candidates = self.candidates[p]
+            if p < len(prefix):
+                candidates = (prefix[p],) if prefix[p] in candidates else ()
+            for q in candidates:
                 bit = 1 << q
                 if used & bit:
                     continue
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise _SearchBudget
                 image[p] = q
                 used |= bit
                 touched = self.blocks_through[p]
@@ -488,30 +486,75 @@ def find_family_isomorphism(
     """One permutation mapping the source block family onto the
     destination family, or None when the exhausted search proves there
     is none."""
-    for perm in _FamilyMatcher(src, dst, m).search():
-        return perm
-    return None
+    return next(_FamilyMatcher(src, dst, m).search(), None)
 
 
-def _reduce_perm_generators(elements: Sequence[tuple[int, ...]], m: int):
-    """A small generating subset of an explicitly listed permutation group,
-    and the stabilizer chain of the group it generates."""
-    target = len(elements)
-    gens: list[tuple[int, ...]] = []
+def _family_stabilizer_chain(family: Sequence[int], m: int, budget: int):
+    """The chain of the permutations preserving the family, from the last
+    base point down: with the chain at the stabilizer of points 0..d, each
+    image of point d outside its level-d orbit gets one search for an
+    element fixing points 0..d-1 and sending d there.  Every candidate is
+    in the orbit or searched exhaustively, so the order is exact."""
+    matcher = _FamilyMatcher(family, family, m)
     chain = StabilizerChain(m)
-    for e in sorted(elements):
-        if chain.add(GraphAutomorphism(0, e)):
-            gens.append(e)
-            if chain.order == target:
-                break
-    # drop generators that became redundant
+    orbit_lengths = []
+    for d in range(m - 1, -1, -1):
+        for q in matcher.candidates[d]:
+            if 2 * q in chain.transversal[d]:
+                continue
+            perm = next(matcher.search(tuple(range(d)) + (q,)), None)
+            if perm is not None:
+                chain.add(GraphAutomorphism(0, perm))
+                if chain.order > budget:
+                    raise ResourceBudgetError(
+                        f"stabilizer exceeded the element budget of {budget}"
+                    )
+        orbit_lengths.append(len(chain.transversal[d]))
+    if prod(orbit_lengths) != chain.order:
+        raise AssertionError("a searched level's orbit grew afterwards")
+    return chain
+
+
+def _greedy_generators(group: StabilizerChain) -> list[GraphAutomorphism]:
+    """A small generating set of a flip-free group: each lexicographically
+    least element outside the subgroup H chosen so far, then, in order,
+    each generator the others do not need dropped.
+
+    The walk splits cosets of G_d, the pointwise stabilizer of points
+    0..d-1, by the image of point d in ascending order.  Both chains share
+    the base, so where |H_d| = |G_d| the two are equal and the coset lies
+    wholly inside or outside H: only its least element is built.
+    """
+    m = group.m
+    chosen = StabilizerChain(m)
+
+    def split(x: GraphAutomorphism, d: int):
+        level = group.transversal[d]
+        for literal in sorted(level, key=lambda lit: x.perm[lit >> 1]):
+            yield compose(level[literal][0], x)
+
+    def least_outside(x: GraphAutomorphism, d: int) -> GraphAutomorphism | None:
+        if chosen.stabilizer_order(d) == group.stabilizer_order(d):
+            if x in chosen:
+                return None
+            for e in range(d, m):
+                x = next(split(x, e))
+            return x
+        for y in split(x, d):
+            if (found := least_outside(y, d + 1)) is not None:
+                return found
+        return None
+
+    gens = []
+    while chosen.order < group.order:
+        gens.append(least_outside(identity(m), 0))
+        if not chosen.add(gens[-1]):
+            raise AssertionError("the coset walk returned a chosen element")
     for g in list(gens):
-        if len(gens) == 1:
-            break
         rest = [h for h in gens if h != g]
-        if StabilizerChain(m, (GraphAutomorphism(0, h) for h in rest)).order == target:
+        if rest and StabilizerChain(m, rest).order == group.order:
             gens = rest
-    return gens, chain
+    return gens
 
 
 def setwise_stabilizer_perms(
@@ -519,30 +562,25 @@ def setwise_stabilizer_perms(
     m: int,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> GroupHandle:
-    """All coordinate permutations preserving the block family setwise.
+    """The coordinate permutations preserving the block family setwise, as
+    a stabilizer chain and reduced generators; no element is listed.
 
-    Full enumeration by individualization-refinement backtracking; the
-    element list is the order certificate.  The returned generators are
-    a reduced subset whose group was re-checked against the list: its
-    chain order equals the list's length and every listed element sifts
-    through the chain.
+    Base-point backtracking gives the chain and its exact order, held to
+    the element budget.  The generators are the ones the greedy choice
+    over the sorted element list picks; each is checked to map the family
+    onto itself, and together they must reach the full order.
     """
     if not family:
         raise ValueError("the block family must be nonempty")
-    perms = []
-    matcher = _FamilyMatcher(family, family, m)
-    for perm in matcher.search():
-        perms.append(perm)
-        if len(perms) > element_budget:
-            raise ResourceBudgetError(
-                f"stabilizer exceeded the element budget of {element_budget}"
-            )
-    gens, chain = _reduce_perm_generators(perms, m)
-    elements = tuple(GraphAutomorphism(0, p) for p in sorted(perms))
-    if chain.order != len(set(perms)) or not all(x in chain for x in elements):
-        raise AssertionError("stabilizer search did not return a closed set")
-    generators = tuple(GraphAutomorphism(0, p) for p in gens)
-    return GroupHandle(m, generators, elements, len(elements))
+    group = _family_stabilizer_chain(family, m, element_budget)
+    gens = _greedy_generators(group)
+    blocks = set(family)
+    if any({permute_mask(g.perm, b) for b in blocks} != blocks for g in gens):
+        raise AssertionError("a generator does not stabilize the family")
+    chain = StabilizerChain(m, gens)
+    if chain.order != group.order:
+        raise AssertionError("the reduced generators do not reach the full order")
+    return GroupHandle(m, tuple(gens), order=chain.order, chain=chain)
 
 
 def code_automorphism_group(
@@ -607,12 +645,10 @@ def vertex_stabilizer(group: GroupHandle, mask: int) -> GroupHandle:
     elements = tuple(
         x for x in group.require_elements() if apply_mask(x, mask) == mask
     )
-    perms = [x.perm for x in elements if x.flips == 0]
-    if len(perms) == len(elements):
-        reduced, _ = _reduce_perm_generators(perms, group.length)
-        gens = tuple(GraphAutomorphism(0, p) for p in reduced)
-    else:
+    if any(x.flips for x in elements):
         gens = elements
+    else:
+        gens = tuple(_greedy_generators(StabilizerChain(group.length, elements)))
     return GroupHandle(group.length, gens, elements, len(elements))
 
 

@@ -1,18 +1,23 @@
-"""The stabilizer chain against independent oracles.
+"""The stabilizer chain and the setwise stabilizer search against
+independent oracles.
 
 The reference closure below works on permutations of the 2m literals
 (coordinate i holding bit b) and shares no code with cregcert's group
 arithmetic; sympy's Schreier-Sims is the oracle for the two large groups.
+Setwise stabilizers are checked against every permutation of a small
+point set, and their generators against the greedy choice over the
+sorted element list, with closures computed breadth first.
 """
 
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from cregcert.codes import Code
+from cregcert.designs import design_automorphisms
 from cregcert.hamming import LengthError
 from cregcert.symmetry import (
     GraphAutomorphism,
@@ -22,6 +27,7 @@ from cregcert.symmetry import (
     closure,
     code_automorphism_group,
     parse_automorphism,
+    setwise_stabilizer_perms,
 )
 
 
@@ -141,3 +147,70 @@ def test_code_group_without_the_zero_word(m, words):
     stabilizer = {x for x in every if {apply_mask(x, w) for w in words} == word_set}
     assert group.order == len(stabilizer)
     assert set(group.require_elements()) == stabilizer
+
+
+def brute_force_stabilizer(family, m):
+    """Every permutation of the m points that maps the family onto itself."""
+    blocks = set(family)
+
+    def image(perm, block):
+        return sum(1 << perm[i] for i in range(m) if (block >> i) & 1)
+
+    return [p for p in permutations(range(m)) if {image(p, b) for b in blocks} == blocks]
+
+
+def greedy_generators(elements, m):
+    """Each least listed element outside the group generated so far, then,
+    in order, each generator the others do not need dropped."""
+    order = len(elements)
+    gens, group = [], reference_closure([], m)
+    for e in sorted(elements):
+        if len(group) == order:
+            break
+        x = GraphAutomorphism(0, e)
+        if literal_permutation(x) not in group:
+            gens.append(x)
+            group = reference_closure(gens, m)
+    for g in list(gens):
+        if len(gens) == 1:
+            break
+        rest = [h for h in gens if h != g]
+        if len(reference_closure(rest, m)) == order:
+            gens = rest
+    return gens
+
+
+@st.composite
+def block_families(draw):
+    m = draw(st.integers(1, 6))
+    family = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=10))
+    return m, family
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_families())
+# the first element found for point 0 reaches only half of its orbit
+@example((4, [0b0011, 0b1100]))
+def test_setwise_stabilizer_matches_brute_force(case):
+    m, family = case
+    brute = brute_force_stabilizer(family, m)
+    group = setwise_stabilizer_perms(family, m)
+    assert group.order == len(brute)
+    assert all(GraphAutomorphism(0, p) in group.chain for p in brute)
+    assert list(group.generators) == greedy_generators(brute, m)
+
+
+def test_stabilizer_budget_is_checked_before_listing():
+    # the symmetric group on 20 points: the order passes 10^6 after a few levels
+    with pytest.raises(ResourceBudgetError, match="1000000"):
+        setwise_stabilizer_perms([1 << i for i in range(20)], 20)
+
+
+def test_design_group_is_held_to_the_element_budget(design12):
+    with pytest.raises(ResourceBudgetError, match="7919"):
+        design_automorphisms(design12, element_budget=7919)
+    group = design_automorphisms(design12, element_budget=7920)
+    assert group.order == 7920
+    assert group.elements is None
+    assert len(group.require_elements()) == 7920
+    assert group.elements is not None

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .certs import FAIL, PASS, Certificate, ContradictionError
-from .hamming import ksubset_masks, points_to_mask
+from .hamming import check_length, ksubset_masks, points_to_mask
 from .symmetry import (
     GroupHandle,
     ResourceBudgetError,
@@ -83,6 +83,9 @@ class Design:
         if not lines:
             raise ValueError("empty design file")
         header = dict(tok.split("=") for tok in lines[0].split())
+        missing = [key for key in ("points", "k", "t", "lambda") if key not in header]
+        if missing:
+            raise ValueError(f"design header lacks {', '.join(missing)}")
         points = int(header["points"])
         strength = int(header["t"])
         blocks = [points_to_mask(int(tok) for tok in ln.split()) for ln in lines[1:]]
@@ -204,7 +207,14 @@ def design_automorphisms(design: Design, element_budget: int = 10**6) -> GroupHa
 # design is the greatest.  Descending order makes every block through the
 # top point rank ahead of all others, so generation fixes one point's whole
 # star (a derived design, rigid for the parameters here) before anything
-# else, which is what keeps the search tree small.
+# else, which is what keeps the search tree small.  The search below:
+# - keeps label sets runs of bits in descending order (a commitment only
+#   splits a run into its top c bits and the rest);
+# - tries the newest block first: if the prefix P was accepted, a relabeling
+#   beating P+[x] brings x into the image prefix (else sorted(pi(P)) > P);
+# - backjumps on the first path: two equal leaves give an automorphism that
+#   maps the later one's subtree, at the level where the paths first differ,
+#   onto the first one's, already searched.
 # ---------------------------------------------------------------------------
 
 
@@ -212,79 +222,72 @@ class _CanonBudget(Exception):
     pass
 
 
-def _highest_bits(mask: int, count: int) -> int:
-    out = 0
-    for _ in range(count):
-        top = 1 << (mask.bit_length() - 1)
-        out |= top
-        mask ^= top
-    return out
-
-
 def _image_greater_exists(blocks, m: int, node_budget: int | None = None) -> bool:
     """Whether some relabeling of the points maps the block family to a
     lexicographically greater sorted-descending bitmask sequence.
 
     Prefix-pruned search over which block realizes each image position.
-    Instead of enumerating label bijections, the partial relabeling is a
-    partition of old points against new-label sets (refined on every
-    commitment), so the maximum realizable image of a block is computed
-    per group and a commitment never branches.  Groups are kept in
-    descending label order: numeric mask comparison is decided by the
-    highest differing bit, so the scan stops at the first group where
-    the maximum image and the target disagree.
+    The partial relabeling is a partition of old points against new-label
+    runs, refined on every commitment: a group ``(points, labels, top)``
+    holds the labels just below bit ``top``, so a block's maximum image per
+    group is ``(1 << top) - (1 << (top - c))``, never a branch, and the scan
+    stops at the first group where it and the target disagree.
     """
     blocks = tuple(blocks)
     r = len(blocks)
     full = (1 << m) - 1
     used = [False] * r
-    # (old-points mask, new-labels mask) pairs with equal popcounts; any
-    # bijection respecting every pair realizes the commitments so far
-    groups: list[tuple[int, int]] = [(full, full)]
+    order = (r - 1, *range(r - 1))  # newest block first
+    # any bijection respecting every group realizes the commitments so far
+    groups: list[tuple[int, int, int]] = [(full, full, m)]
+    path = [0] * r
+    first: list[int] | None = None
+    back = r  # level to resume at after an equal leaf; r when none
     nodes = 0
-    highest = _highest_bits
 
     def stage(i: int) -> bool:
-        nonlocal nodes, groups
-        if i == r:
-            return False  # image equals the sequence: nothing greater here
+        nonlocal nodes, groups, first, back
+        if i == r:  # image equals the sequence: nothing greater here
+            if first is None:
+                first = path[:]
+            else:
+                back = next(j for j in range(r) if path[j] != first[j])
+            return False
         target = blocks[i]
         gs = groups
-        for bi in range(r):
+        for bi in order:
             if used[bi]:
                 continue
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise _CanonBudget
             block = blocks[bi]
-            verdict = 0
-            for pts, labs in gs:
-                c = (block & pts).bit_count()
+            for pts, labs, top in gs:
+                cg = (1 << top) - (1 << (top - (block & pts).bit_count()))
                 tg = target & labs
-                cg = highest(labs, c) if c else 0
                 if cg != tg:
-                    verdict = 1 if cg > tg else -1
                     break
-            if verdict > 0:
+            if cg > tg:
                 return True  # a realizable image beats the target
-            if verdict < 0:
+            if cg < tg:
                 continue
             refined = []
-            for pts, labs in gs:
+            for pts, labs, top in gs:
                 hit_p = block & pts
                 if hit_p:
-                    refined.append((hit_p, target & labs))
-                rest_p = pts & ~block
-                if rest_p:
-                    refined.append((rest_p, labs & ~target))
-            refined.sort(key=lambda g: -g[1])
+                    refined.append((hit_p, target & labs, top))
+                if hit_p != pts:
+                    low = top - hit_p.bit_count()
+                    refined.append((pts ^ hit_p, labs & ~target, low))
             groups = refined
             used[bi] = True
+            path[i] = bi
             found = stage(i + 1)
             groups = gs
             used[bi] = False
-            if found:
-                return True
+            if found or back < i:  # unwinding to a backjump's level
+                return found
+            back = r
         return False
 
     return stage(0)
@@ -318,6 +321,7 @@ def enumerate_designs(
     lam: int,
     block_budget: int = 64,
     canon_node_budget: int = 30000,
+    table_budget: int = 10**6,
 ) -> tuple[Design, ...]:
     """All t-(m, k, lam) designs up to isomorphism, one canonical
     representative each (the greatest labeling of its class).
@@ -326,8 +330,12 @@ def enumerate_designs(
     the designs out (fractional block count or derived index).  The
     complete solutions surviving the orderly search are reduced by
     pairwise isomorphism, so the output is duplicate-free even when a
-    canonicity test hit its node budget.
+    canonicity test hit its node budget.  Raises ResourceBudgetError,
+    before building them, when the search tables (one coverage counter
+    per point subset, and each candidate block's subsets of size 1..t)
+    would hold more than ``table_budget`` entries.
     """
+    check_length(m)
     if not 0 < t <= k <= m:
         raise ValueError(f"need 0 < t <= k <= m, got t={t} k={k} m={m}")
     if lam <= 0:
@@ -339,6 +347,12 @@ def enumerate_designs(
     if b > block_budget:
         raise ResourceBudgetError(
             f"{b} blocks exceed the enumeration block budget of {block_budget}"
+        )
+    entries = (1 << m) + comb(m, k) * sum(comb(k, s) for s in range(1, t + 1))
+    if entries > table_budget:
+        raise ResourceBudgetError(
+            f"{entries} table entries exceed the enumeration table budget of "
+            f"{table_budget}"
         )
     caps = {}
     for s in range(1, t + 1):

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -161,6 +162,31 @@ def test_enumerate_designs_fano():
     result = run_cli("enumerate-designs", "2", "7", "3", "1")
     assert result.returncode == 0
     assert result.stdout.startswith("1 isomorphism class(es)")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("1", "40", "1", "1"), "word length"),  # a 2^40-entry coverage table
+        (("12", "24", "23", "12"), "table budget"),  # 24 x 4.2M subset entries
+    ],
+)
+def test_enumerate_designs_refuses_before_allocating(argv, reason):
+    # under a 1 GiB address-space cap a large allocation would die with a
+    # MemoryError traceback (exit 1), not the usage exit code
+    result = subprocess.run(
+        [sys.executable, "-m", "cregcert.cli", "enumerate-designs", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert reason in result.stderr
 
 
 def test_aut_small_code(workdir):

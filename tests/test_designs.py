@@ -1,9 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cregcert import designs
 from cregcert.certs import ContradictionError
 from cregcert.designs import (
     Design,
@@ -18,7 +21,7 @@ from cregcert.designs import (
     t_design_lambda,
 )
 from cregcert.hamming import ksubset_masks
-from cregcert.symmetry import find_family_isomorphism
+from cregcert.symmetry import ResourceBudgetError, find_family_isomorphism, permute_mask
 
 
 def test_weight_classes_as_designs(code12, code11):
@@ -238,3 +241,71 @@ def test_design_file_roundtrip(design11):
 def test_verified_rejects_non_designs():
     with pytest.raises(ValueError):
         Design.verified([0b000111, 0b111000], 6, 2)
+
+
+def test_design_header_must_name_every_parameter(design11):
+    text = design11.to_text().replace(" lambda=2", "", 1)
+    with pytest.raises(ValueError, match="lambda"):
+        Design.from_text(text)
+
+
+def brute_force_canonical(seq, m):
+    """No relabeling gives a greater sorted-descending block sequence."""
+    for perm in permutations(range(m)):
+        image = sorted((permute_mask(perm, b) for b in seq), reverse=True)
+        if tuple(image) > seq:
+            return False
+    return True
+
+
+@st.composite
+def descending_families(draw):
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(1, m - 1))
+    family = draw(st.sets(st.sampled_from(list(ksubset_masks(m, k))), min_size=1))
+    if draw(st.booleans()):  # a union of orbits, so the family has automorphisms
+        g = draw(st.permutations(range(m)))
+        orbit = list(family)
+        for b in orbit:
+            image = permute_mask(g, b)
+            if image not in family:
+                family.add(image)
+                orbit.append(image)
+    return tuple(sorted(family, reverse=True)), m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(descending_families())
+# not canonical, but the greater image lies past two equal leaves, so it is
+# found only if each backjump resumes at the right level and is then reset
+@example(((56, 52, 42, 37, 35, 19), 6))
+def test_canonicity_matches_brute_force(case):
+    seq, m = case
+    assert blocks_are_canonical(seq, m) is brute_force_canonical(seq, m)
+
+
+def test_undecided_canonicity_checks_are_canonical(monkeypatch):
+    # the cached enumeration is bypassed so every check runs and is seen
+    undecided = []
+    decide = designs.blocks_are_canonical
+
+    def recording(blocks, m, node_budget=None):
+        verdict = decide(blocks, m, node_budget)
+        if verdict is None:
+            undecided.append(tuple(blocks))
+        return verdict
+
+    monkeypatch.setattr(designs, "blocks_are_canonical", recording)
+    enumerate_designs.__wrapped__(2, 11, 5, 2)
+    assert undecided == []
+    enumerate_designs.__wrapped__(3, 12, 6, 2)
+    # the enumeration keeps these prefixes; each is proved canonical
+    assert len(undecided) == 14
+    assert all(decide(prefix, 12) is True for prefix in undecided)
+
+
+def test_enumeration_table_budget_is_exact():
+    # 2-(7,3,1): 2^7 coverage counters and 35 candidates with 3 + 3 subsets
+    with pytest.raises(ResourceBudgetError, match="338 table entries"):
+        enumerate_designs(2, 7, 3, 1, table_budget=337)
+    assert len(enumerate_designs(2, 7, 3, 1, table_budget=338)) == 1

@@ -21,6 +21,10 @@ class ContradictionError(RuntimeError):
     """A verified-impossible situation occurred; indicates a broken input."""
 
 
+class ResourceBudgetError(RuntimeError):
+    """A scan, closure or search exceeded its budget."""
+
+
 @dataclass(frozen=True)
 class Certificate:
     claim: str

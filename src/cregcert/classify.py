@@ -597,7 +597,7 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _replay_design_index(report: dict, cert: Certificate):
+def _replay_design_index(report: dict, cert: Certificate, element_budget: int):
     m = report["parameters"]["length"]
     delta = report["parameters"]["min_distance"]
     max_lam, rows = _lambda_candidate_table(m, delta)
@@ -609,7 +609,7 @@ def _replay_design_index(report: dict, cert: Certificate):
     return expected == cert.verdict, f"feasible indices {feasible}"
 
 
-def _replay_block_count(report: dict, cert: Certificate):
+def _replay_block_count(report: dict, cert: Certificate, element_budget: int):
     m = report["parameters"]["length"]
     delta = report["parameters"]["min_distance"]
     b = block_count(delta // 2, m, delta, 2)
@@ -623,7 +623,7 @@ def _witness_blocks(cert: Certificate, key: str = "representative_blocks"):
     return [points_to_mask(pts) for pts in cert.witness[key]]
 
 
-def _replay_design_uniqueness(report: dict, cert: Certificate):
+def _replay_design_uniqueness(report: dict, cert: Certificate, element_budget: int):
     m = report["parameters"]["length"]
     delta = report["parameters"]["min_distance"]
     t = delta // 2
@@ -640,7 +640,7 @@ def _replay_design_uniqueness(report: dict, cert: Certificate):
     return cert.witness["class_count"] != 1, "failure verdict consistent"
 
 
-def _replay_antipodality_and_size(report: dict, cert: Certificate):
+def _replay_antipodality_and_size(report: dict, cert: Certificate, element_budget: int):
     bound = report["size_bound"]
     uniq = _find_cert(report, "classification/design-uniqueness")
     blocks = _witness_blocks(uniq)
@@ -656,7 +656,7 @@ def _replay_antipodality_and_size(report: dict, cert: Certificate):
     return expected == cert.verdict, f"forced size {forced} vs bound {bound}"
 
 
-def _replay_second_weight_class(report: dict, cert: Certificate):
+def _replay_second_weight_class(report: dict, cert: Certificate, element_budget: int):
     rows = _mu_candidate_table(report["size_bound"])
     feasible = [r["mu"] for r in rows if r["integral"] and r["within_bound"]]
     if cert.witness["mu_candidates"] != rows:
@@ -665,7 +665,7 @@ def _replay_second_weight_class(report: dict, cert: Certificate):
     return expected == cert.verdict, f"feasible weight-6 indices {feasible}"
 
 
-def _replay_size_23(report: dict, cert: Certificate):
+def _replay_size_23(report: dict, cert: Certificate, element_budget: int):
     a = [Fraction(v) for v in cert.witness["distribution"]]
     if len(a) != 12 or a[0] != 1 or a[5] != 11 or a[6] != 11 or sum(a) != 23:
         return False, "hypothetical distribution malformed"
@@ -676,7 +676,7 @@ def _replay_size_23(report: dict, cert: Certificate):
     return expected == cert.verdict, f"second transform entry {aprime[2]}"
 
 
-def _replay_interior_weights(report: dict, cert: Certificate):
+def _replay_interior_weights(report: dict, cert: Certificate, element_budget: int):
     for row in cert.witness["weights"]:
         i = row["weight"]
         lam, _ = check_t_design([(1 << i) - 1], 11, 2)
@@ -687,7 +687,7 @@ def _replay_interior_weights(report: dict, cert: Certificate):
     return cert.passed, "all interior weights rejected"
 
 
-def _replay_antipodality_11(report: dict, cert: Certificate):
+def _replay_antipodality_11(report: dict, cert: Certificate, element_budget: int):
     uniq = _find_cert(report, "classification/design-uniqueness")
     blocks = _witness_blocks(uniq)
     full = (1 << 11) - 1
@@ -698,7 +698,7 @@ def _replay_antipodality_11(report: dict, cert: Certificate):
     return expected == cert.verdict, f"complement design index {lam}"
 
 
-def _replay_code_structure(report: dict, cert: Certificate):
+def _replay_code_structure(report: dict, cert: Certificate, element_budget: int):
     m = report["parameters"]["length"]
     delta = report["parameters"]["min_distance"]
     words = [parse_mask(w)[0] for w in cert.witness["words"]]
@@ -711,7 +711,7 @@ def _replay_code_structure(report: dict, cert: Certificate):
     return expected == cert.verdict, f"({m}, {code.size}, {code.min_distance}) code"
 
 
-def _replay_equivalence(report: dict, cert: Certificate):
+def _replay_equivalence(report: dict, cert: Certificate, element_budget: int):
     m = report["parameters"]["length"]
     delta = report["parameters"]["min_distance"]
     if not cert.passed:
@@ -726,7 +726,7 @@ def _replay_equivalence(report: dict, cert: Certificate):
     return image == reference, "sigma carries the candidate onto the reference"
 
 
-def _replay_complete_regularity(report: dict, cert: Certificate):
+def _replay_complete_regularity(report: dict, cert: Certificate, element_budget: int):
     m = report["parameters"]["length"]
     delta = report["parameters"]["min_distance"]
     reference = reference_code(m, delta)
@@ -771,7 +771,7 @@ def _replay_automorphism_group(report: dict, cert: Certificate, element_budget: 
     return cert.passed and transitive, f"order {closed.order}, stabilizer {zero_stab}"
 
 
-def _replay_complete_transitivity(report: dict, cert: Certificate):
+def _replay_complete_transitivity(report: dict, cert: Certificate, element_budget: int):
     m = report["parameters"]["length"]
     delta = report["parameters"]["min_distance"]
     reference = reference_code(m, delta)
@@ -781,7 +781,7 @@ def _replay_complete_transitivity(report: dict, cert: Certificate):
     return replayed.verdict == cert.verdict, "orbit partition replayed"
 
 
-def _replay_equivalence_invariance(report: dict, cert: Certificate):
+def _replay_equivalence_invariance(report: dict, cert: Certificate, element_budget: int):
     m = report["parameters"]["length"]
     words = [parse_mask(w)[0] for w in cert.witness["conjugated_words"]]
     conjugated = Code(m, words)
@@ -797,58 +797,58 @@ def _find_cert(report: dict, anchor: str) -> Certificate:
     raise KeyError(f"report has no step {anchor}")
 
 
+def _replay_size_bound(report: dict, cert: Certificate, element_budget: int):
+    bound = cert.witness["size_bound"]
+    ok = bound == report["size_bound"] and (bound > 0) == cert.passed
+    return ok, "configuration recorded"
+
+
+# every replayer takes (report, cert, element_budget) and returns (ok, detail)
+_REPLAYERS = {
+    "classification/size-bound": _replay_size_bound,
+    "classification/minimum-weight-design-index": _replay_design_index,
+    "classification/minimum-weight-block-count": _replay_block_count,
+    "classification/design-uniqueness": _replay_design_uniqueness,
+    "classification/antipodality-and-size": _replay_antipodality_and_size,
+    "classification/second-weight-class": _replay_second_weight_class,
+    "classification/size-23-rejection": _replay_size_23,
+    "classification/interior-weight-rejection": _replay_interior_weights,
+    "classification/antipodality": _replay_antipodality_11,
+    "classification/code-structure": _replay_code_structure,
+    "classification/equivalence-witness": _replay_equivalence,
+    "theorem/complete-regularity": _replay_complete_regularity,
+    "theorem/automorphism-group": _replay_automorphism_group,
+    "theorem/complete-transitivity": _replay_complete_transitivity,
+    "theorem/equivalence-invariance": _replay_equivalence_invariance,
+}
+
+
 def verify_report(report: dict, element_budget: int = 10**6):
     """Re-verify every certificate in a report from its witness payload.
 
     Returns a list of (anchor, ok, detail) triples; all searches are
     replaced by direct recomputation, a stabilizer chain of the witness
     generators, or witness application.  ``element_budget`` bounds the
-    order of any group the replay builds.
+    order of any group the replay builds.  Malformed input yields failed
+    triples, never an exception.
     """
-    if report.get("schema") != SCHEMA:
-        return [("schema", False, f"unknown schema {report.get('schema')!r}")]
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if schema != SCHEMA:
+        return [("schema", False, f"unknown schema {schema!r}")]
+    steps = report.get("steps")
+    if not isinstance(steps, list):
+        return [("steps", False, "report has no list of steps")]
     results = []
-    for step in report["steps"]:
-        cert = Certificate.from_dict(step)
-        anchor = cert.anchor
+    for step in steps:
+        anchor = step.get("anchor") if isinstance(step, dict) else None
         try:
-            if anchor == "classification/size-bound":
-                ok, detail = (
-                    cert.witness["size_bound"] == report["size_bound"]
-                    and (cert.witness["size_bound"] > 0) == cert.passed,
-                    "configuration recorded",
-                )
-            elif anchor == "classification/minimum-weight-design-index":
-                ok, detail = _replay_design_index(report, cert)
-            elif anchor == "classification/minimum-weight-block-count":
-                ok, detail = _replay_block_count(report, cert)
-            elif anchor == "classification/design-uniqueness":
-                ok, detail = _replay_design_uniqueness(report, cert)
-            elif anchor == "classification/antipodality-and-size":
-                ok, detail = _replay_antipodality_and_size(report, cert)
-            elif anchor == "classification/second-weight-class":
-                ok, detail = _replay_second_weight_class(report, cert)
-            elif anchor == "classification/size-23-rejection":
-                ok, detail = _replay_size_23(report, cert)
-            elif anchor == "classification/interior-weight-rejection":
-                ok, detail = _replay_interior_weights(report, cert)
-            elif anchor == "classification/antipodality":
-                ok, detail = _replay_antipodality_11(report, cert)
-            elif anchor == "classification/code-structure":
-                ok, detail = _replay_code_structure(report, cert)
-            elif anchor == "classification/equivalence-witness":
-                ok, detail = _replay_equivalence(report, cert)
-            elif anchor == "theorem/complete-regularity":
-                ok, detail = _replay_complete_regularity(report, cert)
-            elif anchor == "theorem/automorphism-group":
-                ok, detail = _replay_automorphism_group(report, cert, element_budget)
-            elif anchor == "theorem/complete-transitivity":
-                ok, detail = _replay_complete_transitivity(report, cert)
-            elif anchor == "theorem/equivalence-invariance":
-                ok, detail = _replay_equivalence_invariance(report, cert)
-            else:
+            cert = Certificate.from_dict(step)
+            replay = _REPLAYERS.get(anchor)
+            if replay is None:
                 ok, detail = False, "unknown step anchor"
-        except Exception as exc:  # a malformed witness must fail, not crash
+            else:
+                ok, detail = replay(report, cert, element_budget)
+        except Exception as exc:  # a malformed step must fail, not crash
             ok, detail = False, f"replay error: {exc}"
         results.append((anchor, ok, detail))
     return results

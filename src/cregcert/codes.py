@@ -4,15 +4,20 @@ A Code is an immutable, sorted, deduplicated collection of bitmasks with
 one shared length.  Everything derived from it (minimum distance,
 covering radius, distance partition and distribution) is computed
 exhaustively in exact arithmetic and cached on first use; at 2^m <= 4096
-vertices the exhaustive scan *is* the certificate.
+vertices the exhaustive scan *is* the certificate.  Every vertex-level
+quantity is read from one cached scan, the outer distribution.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .certs import ResourceBudgetError
 from .hamming import MAX_LENGTH, check_length, format_mask, parse_mask
+
+SCAN_BUDGET = 1 << 24  # vertex-word pairs; every code of length <= 12 fits
 
 
 class CodeFormatError(ValueError):
@@ -86,8 +91,28 @@ class Code:
             for j in range(i + 1, len(ws))
         )
 
+    @cached_property
+    def outer_distribution(self) -> "OuterDistribution":
+        """f_k(nu) = |Gamma_k(nu) cap C| for all 2^m vertices nu: the
+        code's one vertex scan.  Raises ResourceBudgetError before
+        allocating when 2^m * N exceeds SCAN_BUDGET."""
+        m, words = self.length, self.words
+        if (1 << m) * len(words) > SCAN_BUDGET:
+            raise ResourceBudgetError(
+                f"{1 << m} vertices x {len(words)} words exceeds the scan budget "
+                f"of {SCAN_BUDGET} vertex-word pairs"
+            )
+        rows = []
+        for mask in range(1 << m):
+            f = [0] * (m + 1)
+            for w in words:
+                f[(mask ^ w).bit_count()] += 1
+            rows.append(tuple(f))
+        cells = tuple(next(k for k, v in enumerate(f) if v) for f in rows)
+        return OuterDistribution(m, tuple(rows), cells)
+
     def distance_to(self, mask: int) -> int:
-        return min((mask ^ w).bit_count() for w in self.words)
+        return self.outer_distribution.cell_index[mask]
 
     @cached_property
     def covering_radius(self) -> int:
@@ -96,11 +121,10 @@ class Code:
 
     @cached_property
     def _cells(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.length + 1)]
+        rho = max(self.outer_distribution.cell_index)
+        buckets: list[list[int]] = [[] for _ in range(rho + 1)]
         for mask in range(1 << self.length):
             buckets[self.distance_to(mask)].append(mask)
-        while buckets and not buckets[-1]:
-            buckets.pop()
         return tuple(tuple(b) for b in buckets)
 
     def distance_partition(self) -> "DistancePartition":
@@ -217,16 +241,24 @@ class Code:
         return cls(length, words)
 
 
+@dataclass(frozen=True)
+class OuterDistribution:
+    """f_k(nu) for every vertex nu, with each vertex's cell index."""
+
+    length: int
+    rows: tuple[tuple[int, ...], ...]
+    cell_index: tuple[int, ...]
+
+    def row(self, mask: int) -> tuple[int, ...]:
+        return self.rows[mask]
+
+
 class DistancePartition:
     """Cells C_0..C_rho of vertices grouped by distance to the code."""
 
     def __init__(self, length: int, cells: tuple[tuple[int, ...], ...]):
         self.length = length
         self.cells = cells
-
-    @property
-    def covering_radius(self) -> int:
-        return len(self.cells) - 1
 
     def cell_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)

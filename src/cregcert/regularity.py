@@ -1,13 +1,13 @@
 """Complete regularity and complete transitivity certifiers.
 
-Complete regularity is decided by computing the full outer distribution
-f_k(nu) = |Gamma_k(nu) cap C| for every vertex and checking each row is
-constant on its distance-partition cell; the resulting intersection
-table is the certificate.  Complete transitivity is decided by direct
-orbit computation: a group stabilizing the code must have exactly the
-partition cells as vertex orbits.  The stabilizer-orbit shortcut (orbit
-of a sphere slice under a point stabilizer) is also provided, and its
-conclusion always agrees with the direct computation.
+Complete regularity is decided by reading the code's cached outer
+distribution f_k(nu) = |Gamma_k(nu) cap C| of every vertex and checking
+each row is constant on its distance-partition cell; the resulting
+intersection table is the certificate.  Complete transitivity is
+decided by direct orbit computation: a group stabilizing the code must
+have exactly the partition cells as vertex orbits.  The stabilizer-orbit
+shortcut (orbit of a sphere slice under a point stabilizer) is also
+provided, and its conclusion always agrees with the direct computation.
 """
 
 from __future__ import annotations
@@ -15,35 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certs import FAIL, PASS, Certificate
-from .codes import Code
+from .codes import Code, OuterDistribution
 from .hamming import format_mask, ksubset_masks
 from .symmetry import GroupHandle, apply_mask, orbit_of, orbits
 
 
-@dataclass(frozen=True)
-class OuterDistribution:
-    """f_k(nu) for every vertex nu, with each vertex's cell index."""
-
-    length: int
-    rows: tuple[tuple[int, ...], ...]
-    cell_index: tuple[int, ...]
-
-    def row(self, mask: int) -> tuple[int, ...]:
-        return self.rows[mask]
-
-
 def outer_distribution(code: Code) -> OuterDistribution:
-    m = code.length
-    words = code.words
-    rows = []
-    cells = []
-    for mask in range(1 << m):
-        f = [0] * (m + 1)
-        for w in words:
-            f[(mask ^ w).bit_count()] += 1
-        rows.append(tuple(f))
-        cells.append(next(k for k, v in enumerate(f) if v))
-    return OuterDistribution(m, tuple(rows), tuple(cells))
+    """The code's cached outer distribution (one scan per code)."""
+    return code.outer_distribution
 
 
 @dataclass(frozen=True)
@@ -95,18 +74,14 @@ class RegularityCertificate:
 def certify_completely_regular(code: Code) -> RegularityCertificate:
     dist = outer_distribution(code)
     rho = max(dist.cell_index)
-    reference: list[tuple[int, ...] | None] = [None] * (rho + 1)
-    ref_vertex = [0] * (rho + 1)
-    for mask in range(1 << code.length):
-        i = dist.cell_index[mask]
-        row = dist.rows[mask]
-        if reference[i] is None:
-            reference[i] = row
-            ref_vertex[i] = mask
-        elif row != reference[i]:
+    # each cell's reference row is the row of its least vertex
+    least = [dist.cell_index.index(i) for i in range(rho + 1)]
+    reference = tuple(dist.rows[v] for v in least)
+    for mask, (i, row) in enumerate(zip(dist.cell_index, dist.rows)):
+        if row != reference[i]:
             k = next(a for a in range(code.length + 1) if row[a] != reference[i][a])
-            return RegularityCertificate(False, rho, None, (i, ref_vertex[i], mask, k))
-    return RegularityCertificate(True, rho, tuple(reference), None)
+            return RegularityCertificate(False, rho, None, (i, least[i], mask, k))
+    return RegularityCertificate(True, rho, reference, None)
 
 
 def certify_completely_transitive(code: Code, group: GroupHandle) -> Certificate:

@@ -110,22 +110,13 @@ def certify_uniformly_packed(code: Code) -> PackingSolution:
     """Decide whether rational weights lambda_0..lambda_rho exist with
     sum_k lambda_k |Gamma_k(nu) cap C| = 1 for every vertex nu.
 
-    Collects the distinct (f_0..f_rho) vectors over all 2^m vertices,
-    solves the exact linear system, then re-verifies any solution vertex
-    by vertex.  Unsatisfiable is a verdict, not an error.
+    Collects the distinct (f_0..f_rho) prefixes of the code's outer
+    distribution rows, solves the exact linear system, then re-verifies
+    any solution on every distinct row.  Unsatisfiable is a verdict, not
+    an error.
     """
     rho = code.covering_radius
-    m = code.length
-    words = code.words
-    rows = set()
-    for mask in range(1 << m):
-        f = [0] * (rho + 1)
-        for w in words:
-            d = (mask ^ w).bit_count()
-            if d <= rho:
-                f[d] += 1
-        rows.add(tuple(f))
-    distinct = tuple(sorted(rows))
+    distinct = tuple(sorted({row[: rho + 1] for row in code.outer_distribution.rows}))
     solution = solve_rational_system(distinct, [1] * len(distinct))
     if solution is None:
         return PackingSolution(False, None, distinct)

@@ -20,14 +20,11 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
+from .certs import ResourceBudgetError
 from .codes import Code
 from .hamming import LengthError, Vertex, format_mask, ksubset_masks, parse_mask
 
 DEFAULT_ELEMENT_BUDGET = 10**6
-
-
-class ResourceBudgetError(RuntimeError):
-    """A closure or search exceeded its configured element budget."""
 
 
 class GraphAutomorphism(NamedTuple):

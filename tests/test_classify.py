@@ -172,6 +172,36 @@ def test_replay_rejects_unknown_schema(report12):
     assert results == [("schema", False, "unknown schema 'creg-cert/999'")]
 
 
+def _drop_claim(report):
+    del report["steps"][0]["claim"]
+
+
+def _drop_steps(report):
+    del report["steps"]
+
+
+def _string_step(report):
+    report["steps"][0] = "classification/size-bound"
+
+
+@pytest.mark.parametrize(
+    "edit, failed",
+    [
+        (_drop_claim, "classification/size-bound"),
+        (_drop_steps, "steps"),
+        (_string_step, None),
+    ],
+    ids=["step-without-claim", "report-without-steps", "string-step"],
+)
+def test_replay_fails_malformed_input(report11, edit, failed):
+    broken = json.loads(report_json(report11))
+    edit(broken)
+    results = verify_report(broken)
+    anchor, ok, detail = results[0]
+    assert (anchor, ok) == (failed, False), detail
+    assert len(results) == len(broken.get("steps", [None]))
+
+
 def test_failed_run_report_still_replays():
     run = classify(12, 6, size_bound=22)
     report = build_report(run)

@@ -189,6 +189,22 @@ def test_enumerate_designs_refuses_before_allocating(argv, reason):
     assert reason in result.stderr
 
 
+def test_analyze_refuses_a_scan_over_budget(workdir):
+    # 2^24 vertices x 2 words is twice the scan budget; the scan would
+    # also store 2^24 rows, so it must refuse before allocating
+    path = workdir / "long24.txt"
+    path.write_text("m=24\n" + "0" * 24 + "\n" + "1" * 24 + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "cregcert.cli", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "scan budget" in result.stderr
+
+
 def test_aut_small_code(workdir):
     path = workdir / "rep3.txt"
     path.write_text("m=3\n000\n111\n")

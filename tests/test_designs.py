@@ -284,6 +284,28 @@ def test_canonicity_matches_brute_force(case):
     assert blocks_are_canonical(seq, m) is brute_force_canonical(seq, m)
 
 
+def test_canonicity_matches_brute_force_on_orderly_prefixes(monkeypatch):
+    # every prefix the orderly generation of 2-(6,3,2) asks about; unlike
+    # random families these reach the backjump's resume and reset paths
+    verdicts = []
+    decide = designs.blocks_are_canonical
+
+    def recording(blocks, m, node_budget=None):
+        verdict = decide(blocks, m, node_budget)
+        verdicts.append((tuple(blocks), m, verdict))
+        return verdict
+
+    monkeypatch.setattr(designs, "blocks_are_canonical", recording)
+    enumerate_designs.__wrapped__(2, 6, 3, 2)
+    assert len(verdicts) == 60
+    mismatches = [
+        (seq, verdict)
+        for seq, m, verdict in verdicts
+        if verdict is not brute_force_canonical(seq, m)
+    ]
+    assert mismatches == []
+
+
 def test_undecided_canonicity_checks_are_canonical(monkeypatch):
     # the cached enumeration is bypassed so every check runs and is seen
     undecided = []

@@ -1,5 +1,6 @@
 from cregcert.codes import Code
 from cregcert.designs import t_design_lambda
+from cregcert.spectral import certify_uniformly_packed
 from cregcert.regularity import (
     certify_completely_regular,
     certify_completely_transitive,
@@ -18,7 +19,26 @@ def test_outer_distribution_rows(code12):
         assert row[12] == 1
     for mask in range(4096):
         assert sum(dist.row(mask)) == 24
-        assert dist.cell_index[mask] == code12.distance_to(mask)
+        assert dist.cell_index[mask] == min((mask ^ w).bit_count() for w in code12.words)
+
+
+def test_one_scan_per_code(code12, aut12, monkeypatch):
+    scan = Code.__dict__["outer_distribution"]
+    scanned = []
+    original = scan.func
+
+    def counting(code):
+        scanned.append(code)
+        return original(code)
+
+    monkeypatch.setattr(scan, "func", counting)
+    code = Code(12, code12.words)  # a fresh instance, nothing cached yet
+    assert code.covering_radius == 4
+    assert code.distance_partition().cell_sizes() == (24, 288, 1584, 1760, 440)
+    assert certify_completely_regular(code).completely_regular
+    assert certify_uniformly_packed(code).satisfied
+    assert certify_completely_transitive(code, aut12).passed
+    assert len(scanned) == 1
 
 
 def test_both_codes_completely_regular(code12, code11):

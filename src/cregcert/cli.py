@@ -66,7 +66,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--element-budget",
         type=int,
         default=DEFAULT_ELEMENT_BUDGET,
-        help="maximum group order or listed group elements before aborting",
+        help="maximum group order before aborting",
     )
 
 

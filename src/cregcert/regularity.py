@@ -6,8 +6,9 @@ each row is constant on its distance-partition cell; the resulting
 intersection table is the certificate.  Complete transitivity is
 decided by direct orbit computation: a group stabilizing the code must
 have exactly the partition cells as vertex orbits.  The stabilizer-orbit
-shortcut (orbit of a sphere slice under a point stabilizer) is also
-provided, and its conclusion always agrees with the direct computation.
+shortcut (orbit of a sphere slice under a codeword's stabilizer, taken
+from the generators by Schreier's lemma) is also provided, and its
+conclusion always agrees with the direct computation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 from .certs import FAIL, PASS, Certificate
 from .codes import Code, OuterDistribution
-from .hamming import format_mask, ksubset_masks
-from .symmetry import GroupHandle, apply_mask, orbit_of, orbits
+from .hamming import LengthError, format_mask, ksubset_masks
+from .symmetry import GroupHandle, apply_mask, orbit_of, orbits, vertex_stabilizer
 
 
 def outer_distribution(code: Code) -> OuterDistribution:
@@ -88,10 +89,13 @@ def certify_completely_transitive(code: Code, group: GroupHandle) -> Certificate
     """PASS iff the group's vertex orbits are exactly the partition cells.
 
     Precondition: every generator stabilizes the code setwise; a
-    violating generator is reported with a witness word.
+    violating generator is reported with a witness word.  A generator of
+    another degree raises LengthError.
     """
     word_set = set(code.words)
     for g in group.generators:
+        if g.degree != code.length:
+            raise LengthError(f"generator degree {g.degree} vs code length {code.length}")
         image = {apply_mask(g, w) for w in code.words}
         if image != word_set:
             moved = min(image - word_set)
@@ -162,8 +166,7 @@ def transitivity_by_stabilizer(
             },
             FAIL,
         )
-    elements = group.require_elements()
-    stabilizer = [x for x in elements if apply_mask(x, alpha) == alpha]
+    stabilizer = vertex_stabilizer(group, alpha)
     cells = code.distance_partition().cells
     if not 0 <= cell < len(cells):
         raise ValueError(f"cell index {cell} out of range 0..{len(cells) - 1}")
@@ -175,7 +178,7 @@ def transitivity_by_stabilizer(
         "cell": cell,
         "alpha": format_mask(alpha, code.length),
         "code_orbit_size": len(code_orbit),
-        "stabilizer_order": len(stabilizer),
+        "stabilizer_order": stabilizer.order,
         "slice_size": len(slice_masks),
     }
     if cell == 0 or not slice_masks:
@@ -191,7 +194,7 @@ def transitivity_by_stabilizer(
     for start in slice_masks:
         if start in seen:
             continue
-        seen |= orbit_of(start, stabilizer)
+        seen |= orbit_of(start, stabilizer.generators)
         orbit_count += 1
     witness["slice_orbit_count"] = orbit_count
     if orbit_count == 1:

@@ -74,7 +74,7 @@ def solve_rational_system(rows, rhs) -> list[Fraction] | None:
 
     Returns one solution (free variables pinned to zero) or None when the
     system is inconsistent.  Plain Gauss-Jordan on Fractions; the systems
-    here have at most rho+1 <= 5 unknowns.
+    here have rho+1 unknowns, at most m+1 (a one-word code has rho = m).
     """
     if not rows:
         return []

@@ -6,9 +6,9 @@ with S_m).  This module provides the group arithmetic, stabilizer
 chains (deterministic Schreier–Sims: exact order and membership, with
 an element budget on the order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
-pruning (a chain and generators, no element list), full code
-automorphism groups, projections onto coordinate subsets, and code
-equivalence searches.
+pruning, point stabilizers by Schreier's lemma, full code automorphism
+groups, projections onto coordinate subsets, and code equivalence
+searches.  Every group is held as generators and a stabilizer chain.
 
 Composition convention, fixed globally: ``compose(x, y)`` means "apply
 x first, then y", matching right-action exponent notation.
@@ -115,31 +115,22 @@ def parse_automorphism(text: str) -> GraphAutomorphism:
 class GroupHandle:
     """A subgroup of the graph automorphism group, given by generators.
 
-    ``order`` is set once a stabilizer chain has been built (``closure``);
-    the chain certifies the order and answers membership.  ``elements``
-    is listed from the chain on first request, at most once, and only
-    for callers that filter the group element by element; ``closure``
-    has already held the order to its element budget.  The listing is
-    derived data, so it takes no part in equality or hashing.
+    A closed handle (``closure`` and the searches built on it) carries a
+    stabilizer chain that certifies the order and answers membership;
+    ``order`` reads the chain and raises ValueError on a handle never
+    closed.  The chain is derived data, so it takes no part in equality
+    or hashing.
     """
 
     length: int
     generators: tuple[GraphAutomorphism, ...]
-    elements: tuple[GraphAutomorphism, ...] | None = field(default=None, compare=False)
-    order: int | None = None
     chain: StabilizerChain | None = field(default=None, repr=False, compare=False)
 
-    def require_elements(self) -> tuple[GraphAutomorphism, ...]:
-        if self.elements is None:
-            if self.chain is None:
-                raise ValueError("group closure has not been computed")
-            object.__setattr__(self, "elements", self.chain.elements())
-        return self.elements
-
-
-def trivial_group(m: int) -> GroupHandle:
-    e = identity(m)
-    return GroupHandle(m, (), (e,), 1)
+    @property
+    def order(self) -> int:
+        if self.chain is None:
+            raise ValueError("group closure has not been computed")
+        return self.chain.order
 
 
 def _literal_image(x: GraphAutomorphism, literal: int) -> int:
@@ -267,44 +258,28 @@ class StabilizerChain:
                     return residue, level
         return None
 
-    def elements(self) -> tuple[GraphAutomorphism, ...]:
-        """Every element, sorted: each is u_(m-1) * ... * u_0 for exactly one
-        choice of transversal elements."""
-        listed = [identity(self.m)]
-        for transversal in reversed(self.transversal):
-            if len(transversal) > 1:
-                us = [u for u, _ in transversal.values()]
-                listed = [compose(x, u) for x in listed for u in us]
-        return tuple(sorted(listed))
-
 
 def closure(
-    group: GroupHandle | Iterable[GraphAutomorphism],
+    gens: Iterable[GraphAutomorphism],
     m: int | None = None,
     budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> GroupHandle:
     """The subgroup generated by the given automorphisms, as a stabilizer
-    chain: exact order and membership without listing any element.
+    chain: exact order and membership.
 
-    Raises ResourceBudgetError when the order exceeds ``budget``, before
-    any element is listed; the handle's lazy listing is therefore held to
-    the same budget.
+    Raises ResourceBudgetError when the order exceeds ``budget``.
     """
-    if isinstance(group, GroupHandle):
-        gens = group.generators
-        m = group.length
-    else:
-        gens = tuple(group)
-        if m is None:
-            if not gens:
-                raise ValueError("cannot infer length from an empty generator list")
-            m = gens[0].degree
+    gens = tuple(gens)
+    if m is None:
+        if not gens:
+            raise ValueError("cannot infer length from an empty generator list")
+        m = gens[0].degree
     e = identity(m)
     gens = tuple(g for g in dict.fromkeys(gens) if g != e)
     chain = StabilizerChain(m, gens)
     if chain.order > budget:
         raise ResourceBudgetError(f"closure exceeded the element budget of {budget}")
-    return GroupHandle(m, gens, order=chain.order, chain=chain)
+    return GroupHandle(m, gens, chain)
 
 
 def orbit_of(start: int, gens: Sequence[GraphAutomorphism]) -> frozenset[int]:
@@ -560,11 +535,11 @@ def setwise_stabilizer_perms(
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> GroupHandle:
     """The coordinate permutations preserving the block family setwise, as
-    a stabilizer chain and reduced generators; no element is listed.
+    a stabilizer chain and reduced generators.
 
     Base-point backtracking gives the chain and its exact order, held to
-    the element budget.  The generators are the ones the greedy choice
-    over the sorted element list picks; each is checked to map the family
+    the element budget.  The generators are chosen greedily
+    (``_greedy_generators``); each is checked to map the family
     onto itself, and together they must reach the full order.
     """
     if not family:
@@ -577,7 +552,7 @@ def setwise_stabilizer_perms(
     chain = StabilizerChain(m, gens)
     if chain.order != group.order:
         raise AssertionError("the reduced generators do not reach the full order")
-    return GroupHandle(m, tuple(gens), order=chain.order, chain=chain)
+    return GroupHandle(m, tuple(gens), chain)
 
 
 def code_automorphism_group(
@@ -634,30 +609,53 @@ def code_automorphism_group(
         image = {apply_mask(g, w) for w in code.words}
         if image != set(code.words):
             raise AssertionError("generator does not stabilize the code")
-    return GroupHandle(m, generators, order=closed.order, chain=closed.chain)
+    return GroupHandle(m, generators, closed.chain)
+
+
+def _point_stabilizer(group: GroupHandle, point, act) -> GroupHandle:
+    """The subgroup of a closed group fixing ``point`` under ``act``, by
+    Schreier's lemma.
+
+    With u_p carrying ``point`` to p along the orbit, the Schreier
+    generators u_p * g * u_(p^g)^-1 generate the stabilizer.  They are
+    sifted into a chain and the ones it accepts are kept; none is formed
+    once the chain reaches |G| / |orbit|.
+    """
+    m, gens = group.length, group.generators
+    orbit, transversal = [point], {point: identity(m)}
+    for p in orbit:
+        for g in gens:
+            q = act(g, p)
+            if q not in transversal:
+                transversal[q] = compose(transversal[p], g)
+                orbit.append(q)
+    target = group.order // len(orbit)
+    chain = StabilizerChain(m)
+    schreier = (
+        compose(compose(u, g), inverse(transversal[act(g, p)]))
+        for p, u in transversal.items()
+        for g in gens
+        if chain.order < target
+    )
+    kept = [s for s in schreier if chain.add(s)]
+    if chain.order != target:
+        raise AssertionError("the Schreier generators do not reach |G| / |orbit|")
+    return GroupHandle(m, tuple(kept), chain)
 
 
 def vertex_stabilizer(group: GroupHandle, mask: int) -> GroupHandle:
-    """The subgroup fixing one vertex, filtered from the listed elements."""
-    elements = tuple(
-        x for x in group.require_elements() if apply_mask(x, mask) == mask
-    )
-    if any(x.flips for x in elements):
-        gens = elements
-    else:
-        gens = tuple(_greedy_generators(StabilizerChain(group.length, elements)))
-    return GroupHandle(group.length, gens, elements, len(elements))
+    """The subgroup of a closed group fixing one vertex."""
+    return _point_stabilizer(group, mask, apply_mask)
 
 
 def coordinate_stabilizer(group: GroupHandle, coordinate: int) -> GroupHandle:
-    """Elements whose permutation part fixes the given (1-based) coordinate."""
-    c = coordinate - 1
-    elements = tuple(x for x in group.require_elements() if x.perm[c] == c)
-    return GroupHandle(group.length, elements, elements, len(elements))
+    """The subgroup of a closed group whose permutation part fixes the
+    given (1-based) coordinate."""
+    return _point_stabilizer(group, coordinate - 1, lambda x, c: x.perm[c])
 
 
 def project_group(group: GroupHandle, coords) -> GroupHandle:
-    """Induced action on the coordinates in ``coords`` (1-based).
+    """Induced action on the coordinates in ``coords`` (1-based), closed.
 
     Every generator must stabilize the coordinate set; elements acting
     trivially on it map to the identity.
@@ -682,17 +680,13 @@ def project_group(group: GroupHandle, coords) -> GroupHandle:
                 flips |= 1 << a
         return GraphAutomorphism(flips, perm)
 
-    gens = tuple(chi(x) for x in group.generators)
-    if group.order is not None:
-        images = sorted({chi(x) for x in group.require_elements()})
-        return GroupHandle(len(js), gens, tuple(images), len(images))
-    return GroupHandle(len(js), gens)
+    return closure((chi(x) for x in group.generators), len(js))
 
 
 def projection_is_injective(group: GroupHandle, coords) -> bool:
-    """Whether the induced action separates the (closed) group's elements."""
-    projected = project_group(group, coords)
-    return projected.order == len(group.require_elements())
+    """Whether the induced action of a closed group is faithful: the
+    projected group has the same order."""
+    return project_group(group, coords).order == group.order
 
 
 def find_equivalence(

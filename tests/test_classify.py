@@ -202,6 +202,17 @@ def test_replay_fails_malformed_input(report11, edit, failed):
     assert len(results) == len(broken.get("steps", [None]))
 
 
+def test_replay_rejects_generators_of_another_degree(report11):
+    tampered = json.loads(report_json(report11))
+    tampered["parameters"]["length"] = 12
+    results = verify_report(tampered)
+    _, ok, detail = next(
+        r for r in results if r[0] == "theorem/equivalence-invariance"
+    )
+    assert not ok
+    assert "degree 11 vs code length 12" in detail
+
+
 def test_failed_run_report_still_replays():
     run = classify(12, 6, size_bound=22)
     report = build_report(run)

@@ -232,6 +232,16 @@ def test_certify_ct_with_generator_file(workdir, code11_file, code11):
     assert result.returncode == 0
 
 
+def test_certify_ct_rejects_generators_of_another_degree(workdir, code12_file):
+    gen_path = workdir / "degree11.gens"
+    gen_path.write_text("00000000000|2 1 3 4 5 6 7 8 9 10 11\n")
+    result = run_cli(
+        "certify", str(code12_file), "ct", "--generators", str(gen_path)
+    )
+    assert result.returncode == 2
+    assert "degree 11" in result.stderr
+
+
 def test_thread_flag_validation(code12_file):
     result = run_cli("analyze", str(code12_file), "--threads", "0")
     assert result.returncode == 2

@@ -7,7 +7,7 @@ from cregcert.regularity import (
     outer_distribution,
     transitivity_by_stabilizer,
 )
-from cregcert.symmetry import orbit_of, orbits, trivial_group, vertex_stabilizer
+from cregcert.symmetry import closure, orbit_of, orbits, vertex_stabilizer
 
 
 def test_outer_distribution_rows(code12):
@@ -100,7 +100,7 @@ def test_completely_transitive_both_codes(code12, aut12, code11, aut11):
 
 
 def test_trivial_group_is_not_transitive(code12):
-    cert = certify_completely_transitive(code12, trivial_group(12))
+    cert = certify_completely_transitive(code12, closure([], 12))
     assert not cert.passed
 
 
@@ -142,10 +142,7 @@ def test_stabilizer_conclusion_matches_direct_orbits(code12, aut12):
 
 
 def test_stabilizer_lemma_precondition(code12):
-    from cregcert.symmetry import GroupHandle, identity
-
-    e = identity(12)
-    not_transitive = GroupHandle(12, (e,), (e,), 1)
+    not_transitive = closure([], 12)
     cert = transitivity_by_stabilizer(code12, not_transitive, 1)
     assert not cert.passed
     assert cert.witness["orbit_size"] == 1

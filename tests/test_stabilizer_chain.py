@@ -6,7 +6,9 @@ The reference closure below works on permutations of the 2m literals
 arithmetic; sympy's Schreier-Sims is the oracle for the two large groups.
 Setwise stabilizers are checked against every permutation of a small
 point set, and their generators against the greedy choice over the
-sorted element list, with closures computed breadth first.
+sorted element list, with closures computed breadth first.  Point
+stabilizers and projections are checked against the breadth-first
+closure filtered element by element.
 """
 
 from itertools import permutations
@@ -21,13 +23,19 @@ from cregcert.designs import design_automorphisms
 from cregcert.hamming import LengthError
 from cregcert.symmetry import (
     GraphAutomorphism,
+    GroupHandle,
     ResourceBudgetError,
     StabilizerChain,
     apply_mask,
     closure,
     code_automorphism_group,
+    compose,
+    coordinate_stabilizer,
+    identity,
     parse_automorphism,
+    project_group,
     setwise_stabilizer_perms,
+    vertex_stabilizer,
 )
 
 
@@ -58,6 +66,21 @@ def reference_closure(gens, m):
     return seen
 
 
+def from_literals(lits: tuple[int, ...]) -> GraphAutomorphism:
+    """The automorphism acting on the literals 2i+b as ``lits`` does."""
+    flips = sum((lits[2 * i] & 1) << i for i in range(len(lits) // 2))
+    return GraphAutomorphism(flips, tuple(q >> 1 for q in lits[::2]))
+
+
+def transversal_products(chain: StabilizerChain) -> list[GraphAutomorphism]:
+    """Every element of the chain's group as u_(m-1) * ... * u_0, one
+    transversal element per level."""
+    listed = [identity(chain.m)]
+    for transversal in reversed(chain.transversal):
+        listed = [compose(x, u) for x in listed for u, _ in transversal.values()]
+    return sorted(listed)
+
+
 @st.composite
 def signed_permutation(draw, m):
     flips = draw(st.integers(0, (1 << m) - 1))
@@ -82,7 +105,7 @@ def test_chain_matches_breadth_first_closure(case):
     assert chain.order == len(group)
     for x in probes:
         assert (x in chain) == (literal_permutation(x) in group)
-    listed = chain.elements()
+    listed = transversal_products(chain)
     assert len(listed) == len(set(listed)) == len(group)
     assert {literal_permutation(x) for x in listed} == group
     # every member sifts, not only the listed transversal products
@@ -109,27 +132,24 @@ def test_chain_rejects_a_wrong_degree():
         closure([GraphAutomorphism(0, (1, 0, 2, 3)), GraphAutomorphism(1, (0, 1, 2))])
 
 
-def test_lazy_listing_is_held_to_the_closure_budget():
+def test_closure_is_held_to_its_budget():
     cyc = GraphAutomorphism(0, tuple((i + 1) % 8 for i in range(8)))
     flip = GraphAutomorphism(1, tuple(range(8)))
     with pytest.raises(ResourceBudgetError, match="2047"):
         closure([cyc, flip], budget=2047)
     group = closure([cyc, flip], budget=2048)
     assert group.order == 2048
-    assert group.elements is None
-    listed = group.require_elements()
-    assert len(listed) == 2048
-    assert group.require_elements() is listed
 
 
-def test_listing_leaves_equality_and_hash_unchanged():
-    gens = [GraphAutomorphism(0, (1, 2, 0)), GraphAutomorphism(1, (0, 1, 2))]
+def test_chain_leaves_equality_and_hash_unchanged():
+    gens = (GraphAutomorphism(0, (1, 2, 0)), GraphAutomorphism(1, (0, 1, 2)))
     group, twin = closure(gens), closure(gens)
-    before = hash(group)
-    group.require_elements()
-    assert group.elements is not None and twin.elements is None
-    assert group == twin
-    assert hash(group) == before == hash(twin)
+    unclosed = GroupHandle(3, gens)
+    assert group.order == 24
+    with pytest.raises(ValueError, match="closure"):
+        unclosed.order
+    assert group == twin == unclosed
+    assert hash(group) == hash(twin) == hash(unclosed)
 
 
 @pytest.mark.parametrize(
@@ -146,7 +166,7 @@ def test_code_group_without_the_zero_word(m, words):
     word_set = set(words)
     stabilizer = {x for x in every if {apply_mask(x, w) for w in words} == word_set}
     assert group.order == len(stabilizer)
-    assert set(group.require_elements()) == stabilizer
+    assert all(x in group.chain for x in stabilizer)
 
 
 def brute_force_stabilizer(family, m):
@@ -211,6 +231,37 @@ def test_design_group_is_held_to_the_element_budget(design12):
         design_automorphisms(design12, element_budget=7919)
     group = design_automorphisms(design12, element_budget=7920)
     assert group.order == 7920
-    assert group.elements is None
-    assert len(group.require_elements()) == 7920
-    assert group.elements is not None
+
+
+@st.composite
+def point_stabilizer_cases(draw):
+    m, gens, _ = draw(generator_sets())
+    return m, gens, draw(st.integers(0, (1 << m) - 1)), draw(st.integers(0, m - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(point_stabilizer_cases())
+def test_point_stabilizers_match_the_filtered_closure(case):
+    m, gens, mask, c = case
+    group = reference_closure(gens, m)
+    closed = closure(gens, m)
+    vertex = {2 * i + ((mask >> i) & 1) for i in range(m)}
+    fixing_vertex = [z for z in group if {z[q] for q in vertex} == vertex]
+    fixing_coordinate = [z for z in group if z[2 * c] >> 1 == c]
+    by_coordinate = coordinate_stabilizer(closed, c + 1)
+    for stab, oracle in (
+        (vertex_stabilizer(closed, mask), fixing_vertex),
+        (by_coordinate, fixing_coordinate),
+    ):
+        assert stab.order == len(oracle)
+        assert all(from_literals(z) in stab.chain for z in oracle)
+    # the coordinate stabilizer preserves {c} and its complement; the
+    # projected order counts the distinct restrictions to the literals kept
+    for kept in ([c], [j for j in range(m) if j != c]):
+        if kept:
+            restrictions = {
+                tuple(z[2 * j + b] for j in kept for b in (0, 1))
+                for z in fixing_coordinate
+            }
+            projected = project_group(by_coordinate, [j + 1 for j in kept])
+            assert projected.order == len(restrictions)

@@ -44,15 +44,6 @@ class Certificate:
             "verdict": self.verdict,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Certificate":
-        return cls(
-            claim=data["claim"],
-            anchor=data["anchor"],
-            witness=data.get("witness", {}),
-            verdict=data["verdict"],
-        )
-
 
 def fraction_str(value) -> str:
     """Fractions as 'p' or 'p/q' strings for exact, readable witnesses."""

@@ -2,13 +2,23 @@
 
 For (length, min distance) = (12, 6) and (11, 5), any completely regular
 code with those parameters is equivalent to the Hadamard 12 code or its
-punctured companion.  ``classify`` replays that argument as an ordered
-sequence of certificates: parameter arithmetic pins the minimum-weight
+punctured companion.  ``classify`` replays that argument as the ordered
+steps of ``CHAIN[m]``: parameter arithmetic pins the minimum-weight
 design index, counting and exact-transform contradictions force the code
 size and antipodality, exhaustive enumeration shows the design is unique,
 and an explicit coordinate permutation carries the forced structure onto
-the reference code.  ``verify_report`` re-checks every certificate from
-its witness payload alone, without re-running any search.
+the reference code.  ``certify_theorem`` adds the ``THEOREM`` steps.
+
+Every step has one certificate builder, shared by the producer and the
+replay.  The producer feeds the builders the outputs of three searches:
+the design from ``enumerate_designs``, sigma from ``find_equivalence``
+and the code's group from ``code_automorphism_group``.
+``verify_report`` reads each of those outputs from the witness that
+records it and checks it directly (the design as a t-design of index 2,
+sigma as a map onto the reference code, the generators by their
+stabilizer chain).  It then rebuilds each certificate from the report's
+parameters and its witnessed search outputs, and compares.  One recorded
+fact is taken as is: the design class count.
 """
 
 from __future__ import annotations
@@ -16,19 +26,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
+from inspect import signature
 
 from .certs import FAIL, PASS, SCHEMA, Certificate, fraction_str
 from .codes import Code
-from .designs import (
-    Design,
-    block_count,
-    check_t_design,
-    enumerate_designs,
-    lambda_i,
-)
+from .designs import Design, block_count, check_t_design, enumerate_designs, lambda_i
 from .hadamard import code_of, paley_hadamard_12
-from .hamming import format_mask, parse_mask, points_to_mask
+from .hamming import format_mask, points_to_mask
 from .regularity import (
     certify_completely_regular,
     certify_completely_transitive,
@@ -50,6 +55,34 @@ from .symmetry import (
 )
 
 SUPPORTED = {(12, 6): 24, (11, 5): 24}
+
+# The classification chain of each length, in order.  ``classify`` halts
+# at the first FAIL; after a chain that ends in PASS a report may carry
+# the THEOREM steps.
+_OPENING = (
+    "classification/size-bound",
+    "classification/minimum-weight-design-index",
+    "classification/minimum-weight-block-count",
+    "classification/design-uniqueness",
+)
+_CLOSING = ("classification/code-structure", "classification/equivalence-witness")
+CHAIN = {
+    12: _OPENING + ("classification/antipodality-and-size",) + _CLOSING,
+    11: _OPENING
+    + (
+        "classification/second-weight-class",
+        "classification/size-23-rejection",
+        "classification/interior-weight-rejection",
+        "classification/antipodality",
+    )
+    + _CLOSING,
+}
+THEOREM = (
+    "theorem/complete-regularity",
+    "theorem/automorphism-group",
+    "theorem/complete-transitivity",
+    "theorem/equivalence-invariance",
+)
 
 
 class UnsupportedParameters(ValueError):
@@ -85,37 +118,84 @@ class ClassificationRun:
         return self.verdict == PASS
 
 
+class _Mismatch(Exception):
+    """A replayed step disagrees with the report; the message says where."""
+
+
+class _Inputs:
+    """A chain's parameters and the search outputs known so far.
+
+    The producer sets ``class_count``, ``design``, ``sigma`` and ``group``
+    from its searches, the replay from witnesses it has checked.  Reading
+    an output that was never set fails the step that reads it.
+    """
+
+    def __init__(self, m, delta, size_bound=None, element_budget: int = 10**6):
+        self.m, self.delta, self.size_bound = m, delta, size_bound
+        self.element_budget = element_budget
+        self.rejected = ""  # why the last witnessed output was refused
+
+    def __getattr__(self, name: str):
+        # reached only for a search output no step has supplied
+        why = f" ({self.rejected})" if self.rejected else ""
+        raise _Mismatch(f"no checked {name}{why}")
+
+    @property
+    def reference(self) -> Code:
+        return reference_code(self.m, self.delta)
+
+    @property
+    def candidate(self) -> Code:
+        """The code the design forces: the zero and all-ones words, the
+        blocks and, at length 11, their complements."""
+        full = (1 << self.m) - 1
+        words = [0, full, *self.design.blocks]
+        if self.m == 11:
+            words.extend(full ^ b for b in self.design.blocks)
+        return Code(self.m, words)
+
+
 # ---------------------------------------------------------------------------
-# individual steps
+# one certificate builder per step
 # ---------------------------------------------------------------------------
 
-
-def step_size_bound(m: int, delta: int, size_bound: int) -> Certificate:
-    return Certificate(
-        "the configured table value bounds the number of codewords",
-        "classification/size-bound",
-        {"length": m, "min_distance": delta, "size_bound": size_bound},
-        PASS if size_bound > 0 else FAIL,
-    )
+_STEPS: dict = {}
 
 
-def _lambda_candidate_table(m: int, delta: int) -> tuple[int, list[dict]]:
-    t = delta // 2
-    max_lam = (m - t) // (delta - t)
-    rows = []
-    for lam in range(1, max_lam + 1):
-        derived = []
-        feasible = True
-        for i in range(t + 1):
-            value = lambda_i(t, m, delta, lam, i)
-            integral = value.denominator == 1
-            feasible = feasible and integral
-            derived.append({"i": i, "value": fraction_str(value), "integral": integral})
-        rows.append({"index": lam, "derived": derived, "feasible": feasible})
-    return max_lam, rows
+def _step(anchor: str):
+    """Register a step's certificate builder under its anchor.
+
+    The builder returns (claim, witness, passed).  Its parameters name
+    the ``_Inputs`` it reads, in the order it reads them: search outputs
+    come first, so a step whose output was refused reports that.
+    """
+
+    def register(build):
+        @wraps(build)
+        def certificate(*args, **kwargs) -> Certificate:
+            claim, witness, passed = build(*args, **kwargs)
+            return Certificate(claim, anchor, witness, PASS if passed else FAIL)
+
+        _STEPS[anchor] = certificate
+        return certificate
+
+    return register
 
 
-def lambda_bounds(m: int, delta: int) -> Certificate:
+def _build(anchor: str, p: _Inputs) -> Certificate:
+    build = _STEPS[anchor]
+    return build(**{name: getattr(p, name) for name in signature(build).parameters})
+
+
+@_step("classification/size-bound")
+def _size_bound(m: int, delta: int, size_bound: int):
+    witness = {"length": m, "min_distance": delta, "size_bound": size_bound}
+    claim = "the configured table value bounds the number of codewords"
+    return claim, witness, size_bound > 0
+
+
+@_step("classification/minimum-weight-design-index")
+def lambda_bounds(m: int, delta: int):
     """Pin the index of the design formed by the minimum-weight codewords.
 
     Codewords of weight delta through a fixed t-set have pairwise
@@ -125,7 +205,16 @@ def lambda_bounds(m: int, delta: int) -> Certificate:
     """
     _check_supported(m, delta)
     t = delta // 2
-    max_lam, rows = _lambda_candidate_table(m, delta)
+    max_lam = (m - t) // (delta - t)
+    rows = []
+    for lam in range(1, max_lam + 1):
+        derived = []
+        for i in range(t + 1):
+            value = lambda_i(t, m, delta, lam, i)
+            integral = value.denominator == 1
+            derived.append({"i": i, "value": fraction_str(value), "integral": integral})
+        feasible = all(d["integral"] for d in derived)
+        rows.append({"index": lam, "derived": derived, "feasible": feasible})
     feasible = [row["index"] for row in rows if row["feasible"]]
     witness = {
         "t": t,
@@ -134,21 +223,13 @@ def lambda_bounds(m: int, delta: int) -> Certificate:
         "feasible": feasible,
     }
     if feasible == [2]:
-        return Certificate(
-            "the minimum-weight codewords form a design with index exactly 2",
-            "classification/minimum-weight-design-index",
-            witness,
-            PASS,
-        )
-    return Certificate(
-        "the design-index arithmetic does not single out index 2",
-        "classification/minimum-weight-design-index",
-        witness,
-        FAIL,
-    )
+        claim = "the minimum-weight codewords form a design with index exactly 2"
+        return claim, witness, True
+    return "the design-index arithmetic does not single out index 2", witness, False
 
 
-def step_block_count(m: int, delta: int) -> Certificate:
+@_step("classification/minimum-weight-block-count")
+def _minimum_weight_block_count(m: int, delta: int):
     t = delta // 2
     b = block_count(t, m, delta, 2)
     witness = {
@@ -158,53 +239,27 @@ def step_block_count(m: int, delta: int) -> Certificate:
         "blocks": fraction_str(b),
     }
     if b.denominator == 1:
-        return Certificate(
-            f"the minimum-weight class has exactly {int(b)} codewords",
-            "classification/minimum-weight-block-count",
-            witness,
-            PASS,
-        )
-    return Certificate(
-        "the block count is not an integer",
-        "classification/minimum-weight-block-count",
-        witness,
-        FAIL,
-    )
+        return f"the minimum-weight class has exactly {int(b)} codewords", witness, True
+    return "the block count is not an integer", witness, False
 
 
-def step_design_uniqueness(m: int, delta: int) -> tuple[Certificate, Design | None]:
-    t = delta // 2
-    classes = enumerate_designs(t, m, delta, 2)
+@_step("classification/design-uniqueness")
+def _design_uniqueness(class_count: int, design: Design | None, delta: int):
     witness = {
-        "t": t,
+        "t": delta // 2,
         "block_size": delta,
         "index": 2,
-        "class_count": len(classes),
-        "representative_blocks": classes[0].block_point_lists() if classes else [],
+        "class_count": class_count,
+        "representative_blocks": design.block_point_lists() if design else [],
     }
-    if len(classes) == 1:
-        return (
-            Certificate(
-                "exhaustive enumeration finds exactly one design up to "
-                "isomorphism",
-                "classification/design-uniqueness",
-                witness,
-                PASS,
-            ),
-            classes[0],
-        )
-    return (
-        Certificate(
-            f"enumeration found {len(classes)} isomorphism classes",
-            "classification/design-uniqueness",
-            witness,
-            FAIL,
-        ),
-        None,
-    )
+    if class_count == 1 and design is not None:
+        claim = "exhaustive enumeration finds exactly one design up to isomorphism"
+        return claim, witness, True
+    return f"enumeration found {class_count} isomorphism classes", witness, False
 
 
-def step_antipodality_and_size(design: Design, size_bound: int) -> Certificate:
+@_step("classification/antipodality-and-size")
+def _antipodality_and_size(design: Design, size_bound: int):
     """Length-12 case: the unique design is closed under complements, so
     the code is antipodal and its size is forced to 1 + blocks + 1."""
     full = (1 << design.points) - 1
@@ -217,28 +272,23 @@ def step_antipodality_and_size(design: Design, size_bound: int) -> Certificate:
         "size_bound": size_bound,
     }
     if closed and forced == size_bound:
-        return Certificate(
+        claim = (
             "complement closure of the design forces antipodality and the "
-            "exact code size",
-            "classification/antipodality-and-size",
-            witness,
-            PASS,
+            "exact code size"
         )
-    return Certificate(
-        "the forced code size contradicts the size bound"
-        if closed
-        else "the design is not complement-closed",
-        "classification/antipodality-and-size",
-        witness,
-        FAIL,
-    )
+        return claim, witness, True
+    if closed:
+        return "the forced code size contradicts the size bound", witness, False
+    return "the design is not complement-closed", witness, False
 
 
-def _mu_candidate_table(size_bound: int) -> list[dict]:
+@_step("classification/second-weight-class")
+def _second_weight_class(size_bound: int):
+    """Length-11 case: the weight-6 class is a 2-design whose index must
+    be divisible by 3, and the size bound leaves only index 3 with
+    eleven blocks."""
     rows = []
-    mu = 0
-    while True:
-        mu += 1
+    for mu in range(1, 7):
         b6 = block_count(2, 11, 6, mu)
         minimum = 12 + b6  # zero word + eleven weight-5 words + weight-6 class
         if b6.denominator == 1 and int(minimum) > max(size_bound, 24) and mu > 3:
@@ -252,16 +302,6 @@ def _mu_candidate_table(size_bound: int) -> list[dict]:
                 "within_bound": minimum <= size_bound,
             }
         )
-        if mu >= 6:
-            break
-    return rows
-
-
-def step_second_weight_class(size_bound: int) -> Certificate:
-    """Length-11 case: the weight-6 class is a 2-design whose index must
-    be divisible by 3, and the size bound leaves only index 3 with
-    eleven blocks."""
-    rows = _mu_candidate_table(size_bound)
     feasible = [r["mu"] for r in rows if r["integral"] and r["within_bound"]]
     witness = {
         # two weight-5 codewords share a pair of coordinates; minimum
@@ -273,21 +313,14 @@ def step_second_weight_class(size_bound: int) -> Certificate:
         "feasible": feasible,
     }
     if feasible == [3]:
-        return Certificate(
-            "the weight-6 class is a design with index 3 and eleven blocks",
-            "classification/second-weight-class",
-            witness,
-            PASS,
-        )
-    return Certificate(
-        "no admissible index exists for the weight-6 class under the bound",
-        "classification/second-weight-class",
-        witness,
-        FAIL,
-    )
+        claim = "the weight-6 class is a design with index 3 and eleven blocks"
+        return claim, witness, True
+    claim = "no admissible index exists for the weight-6 class under the bound"
+    return claim, witness, False
 
 
-def reject_size_23() -> Certificate:
+@_step("classification/size-23-rejection")
+def reject_size_23():
     """Length-11 case: a 23-word code would have distance distribution
     (1, 0, 0, 0, 0, 11, 11, 0, ..., 0), whose exact transform has a
     negative entry, which no code admits."""
@@ -302,186 +335,82 @@ def reject_size_23() -> Certificate:
         "second_entry": fraction_str(aprime[2]),
     }
     if aprime[2] < 0:
-        return Certificate(
-            "a 23-word code is impossible: its transform would be negative",
-            "classification/size-23-rejection",
-            witness,
-            PASS,
-        )
-    return Certificate(
+        claim = "a 23-word code is impossible: its transform would be negative"
+        return claim, witness, True
+    claim = (
         "expected a negative transform entry for the hypothetical "
-        "23-word distribution",
-        "classification/size-23-rejection",
-        witness,
-        FAIL,
+        "23-word distribution"
     )
+    return claim, witness, False
 
 
-def step_interior_weight_rejection() -> Certificate:
+@_step("classification/interior-weight-rejection")
+def _interior_weight_rejection():
     """Length-11 case: the one remaining codeword cannot have weight
     7..10: its weight class would be a 2-design with a single block,
     impossible on 11 points (the block-count bound asks for eleven)."""
     rows = []
-    ok = True
     for i in range(7, 11):
-        single = [(1 << i) - 1]
-        lam, counterexample = check_t_design(single, 11, 2)
-        is_design = lam is not None and lam > 0
+        lam, _ = check_t_design([(1 << i) - 1], 11, 2)
         rows.append(
             {
                 "weight": i,
-                "single_block_is_2_design": is_design,
+                "single_block_is_2_design": lam is not None and lam > 0,
                 "minimum_blocks_required": 11,
             }
         )
-        ok = ok and not is_design
     witness = {"weights": rows}
-    if ok:
-        return Certificate(
-            "no interior weight can carry the remaining codeword",
-            "classification/interior-weight-rejection",
-            witness,
-            PASS,
-        )
-    return Certificate(
-        "an interior weight unexpectedly admits a one-block design",
-        "classification/interior-weight-rejection",
-        witness,
-        FAIL,
-    )
+    if not any(row["single_block_is_2_design"] for row in rows):
+        return "no interior weight can carry the remaining codeword", witness, True
+    return "an interior weight unexpectedly admits a one-block design", witness, False
 
 
-def step_antipodality_11(design: Design) -> Certificate:
+@_step("classification/antipodality")
+def _antipodality(design: Design):
     """Length-11 case: the last codeword has weight 11, so the code is
     antipodal and the weight-6 class is the complement design of the
     weight-5 class, with index 3."""
     full = (1 << 11) - 1
-    complements = [full ^ b for b in design.blocks]
-    lam, _ = check_t_design(complements, 11, 2)
+    lam, _ = check_t_design([full ^ b for b in design.blocks], 11, 2)
     witness = {
         "all_ones_weight": 11,
         "complement_design_index": lam,
     }
     if lam == 3:
-        return Certificate(
-            "antipodality holds and the complements form the index-3 design",
-            "classification/antipodality",
-            witness,
-            PASS,
-        )
-    return Certificate(
-        "the complements of the unique design do not form an index-3 design",
-        "classification/antipodality",
-        witness,
-        FAIL,
-    )
+        claim = "antipodality holds and the complements form the index-3 design"
+        return claim, witness, True
+    claim = "the complements of the unique design do not form an index-3 design"
+    return claim, witness, False
 
 
-def _candidate_code(m: int, design: Design) -> Code:
-    full = (1 << m) - 1
-    words = [0, full]
-    words.extend(design.blocks)
-    if m == 11:
-        words.extend(full ^ b for b in design.blocks)
-    return Code(m, words)
-
-
-def step_code_structure(m: int, delta: int, design: Design) -> tuple[Certificate, Code]:
-    candidate = _candidate_code(m, design)
+@_step("classification/code-structure")
+def _code_structure(candidate: Code, delta: int):
     witness = {
-        "words": [format_mask(w, m) for w in candidate.words],
+        "words": [format_mask(w, candidate.length) for w in candidate.words],
         "size": candidate.size,
         "min_distance": candidate.min_distance,
     }
-    ok = candidate.size == 24 and candidate.min_distance == delta
-    return (
-        Certificate(
-            "the forced codeword set is a code with the classified parameters"
-            if ok
-            else "the forced codeword set violates the classified parameters",
-            "classification/code-structure",
-            witness,
-            PASS if ok else FAIL,
-        ),
-        candidate,
-    )
+    if candidate.size == 24 and candidate.min_distance == delta:
+        claim = "the forced codeword set is a code with the classified parameters"
+        return claim, witness, True
+    return "the forced codeword set violates the classified parameters", witness, False
 
 
-def step_equivalence(m: int, delta: int, candidate: Code) -> tuple[Certificate, tuple | None]:
-    reference = reference_code(m, delta)
-    witness_base = {
+@_step("classification/equivalence-witness")
+def _equivalence_witness(sigma: tuple[int, ...] | None, candidate: Code, m: int):
+    witness = {
         "candidate_words": [format_mask(w, m) for w in candidate.words],
         "reference": "hadamard-12" if m == 12 else "punctured-hadamard-12",
     }
-    x = find_equivalence(candidate, reference, perms_only=True)
-    if x is None:
-        return (
-            Certificate(
-                "no coordinate permutation maps the forced code onto the "
-                "reference code",
-                "classification/equivalence-witness",
-                witness_base,
-                FAIL,
-            ),
-            None,
-        )
-    sigma = tuple(p + 1 for p in x.perm)
-    witness = dict(witness_base)
+    if sigma is None:
+        claim = "no coordinate permutation maps the forced code onto the reference code"
+        return claim, witness, False
     witness["sigma"] = list(sigma)
-    return (
-        Certificate(
-            "an explicit coordinate permutation carries the forced code "
-            "onto the reference code",
-            "classification/equivalence-witness",
-            witness,
-            PASS,
-        ),
-        sigma,
+    claim = (
+        "an explicit coordinate permutation carries the forced code "
+        "onto the reference code"
     )
-
-
-def classify(m: int, delta: int, size_bound: int | None = None) -> ClassificationRun:
-    """Run the full chain; halt at the first failing certificate."""
-    _check_supported(m, delta)
-    if size_bound is None:
-        size_bound = SUPPORTED[(m, delta)]
-    steps: list[Certificate] = []
-    sigma = None
-
-    def run(cert: Certificate) -> bool:
-        steps.append(cert)
-        return cert.passed
-
-    ok = run(step_size_bound(m, delta, size_bound))
-    ok = ok and run(lambda_bounds(m, delta))
-    ok = ok and run(step_block_count(m, delta))
-    design = None
-    if ok:
-        cert, design = step_design_uniqueness(m, delta)
-        ok = run(cert)
-    if ok:
-        if m == 12:
-            ok = run(step_antipodality_and_size(design, size_bound))
-        else:
-            ok = run(step_second_weight_class(size_bound))
-            ok = ok and run(reject_size_23())
-            ok = ok and run(step_interior_weight_rejection())
-            ok = ok and run(step_antipodality_11(design))
-    candidate = None
-    if ok:
-        cert, candidate = step_code_structure(m, delta, design)
-        ok = run(cert)
-    if ok:
-        cert, sigma = step_equivalence(m, delta, candidate)
-        ok = run(cert)
-    return ClassificationRun(
-        m, delta, size_bound, tuple(steps), sigma, PASS if ok else FAIL
-    )
-
-
-# ---------------------------------------------------------------------------
-# the theorem bundle: regularity, symmetry, and transitivity of the target
-# ---------------------------------------------------------------------------
+    return claim, witness, True
 
 
 def _conjugator(m: int) -> GraphAutomorphism:
@@ -491,29 +420,14 @@ def _conjugator(m: int) -> GraphAutomorphism:
     return GraphAutomorphism(flips, perm)
 
 
-def certify_theorem(
-    m: int, delta: int, element_budget: int = 10**6
-) -> list[Certificate]:
-    """Certify that the reference code is completely regular and
-    completely transitive, with the exact order of its symmetry group
-    from a stabilizer chain, and that the properties survive conjugation
-    by a graph automorphism."""
-    _check_supported(m, delta)
-    reference = reference_code(m, delta)
-    certs: list[Certificate] = []
+@_step("theorem/complete-regularity")
+def _complete_regularity(reference: Code):
+    cert = certify_completely_regular(reference).to_certificate(reference)
+    return cert.claim, cert.witness, cert.passed
 
-    creg = certify_completely_regular(reference)
-    creg_cert = creg.to_certificate(reference)
-    certs.append(
-        Certificate(
-            creg_cert.claim,
-            "theorem/complete-regularity",
-            creg_cert.witness,
-            creg_cert.verdict,
-        )
-    )
 
-    group = code_automorphism_group(reference, element_budget)
+@_step("theorem/automorphism-group")
+def _automorphism_group(group: GroupHandle, reference: Code):
     # orbit-stabilizer: |G_0| = |G| / |orbit of 0|
     orbit = orbit_of(0, group.generators)
     zero_stab = group.order // len(orbit)
@@ -525,43 +439,155 @@ def certify_theorem(
         "code_orbit_index": group.order // zero_stab,
         "transitive_on_code": transitive,
     }
-    certs.append(
-        Certificate(
-            # the claim's wording is part of the pinned report bytes
-            "the code's symmetry group was fully enumerated and acts "
-            "transitively on the code",
-            "theorem/automorphism-group",
-            witness,
-            PASS if transitive and group.order == zero_stab * reference.size else FAIL,
-        )
+    # the claim's wording is part of the pinned report bytes
+    claim = (
+        "the code's symmetry group was fully enumerated and acts "
+        "transitively on the code"
     )
+    return claim, witness, transitive and group.order == zero_stab * reference.size
 
+
+@_step("theorem/complete-transitivity")
+def _complete_transitivity(group: GroupHandle, reference: Code):
     ct = certify_completely_transitive(reference, group)
-    ct_witness = dict(ct.witness)
-    ct_witness["generators"] = [format_automorphism(g) for g in group.generators]
-    certs.append(Certificate(ct.claim, "theorem/complete-transitivity", ct_witness, ct.verdict))
+    witness = dict(ct.witness)
+    witness["generators"] = [format_automorphism(g) for g in group.generators]
+    return ct.claim, witness, ct.passed
 
+
+@_step("theorem/equivalence-invariance")
+def _equivalence_invariance(group: GroupHandle, reference: Code, m: int):
     x = _conjugator(m)
     x_inv = inverse(x)
     conjugated = Code(m, (apply_mask(x, w) for w in reference.words))
     conj_gens = tuple(compose(compose(x_inv, g), x) for g in group.generators)
-    conj_group = GroupHandle(m, conj_gens)
-    conj_ct = certify_completely_transitive(conjugated, conj_group)
-    certs.append(
-        Certificate(
-            "complete transitivity is preserved under conjugation by a "
-            "graph automorphism",
-            "theorem/equivalence-invariance",
-            {
-                "conjugator": format_automorphism(x),
-                "conjugated_generators": [format_automorphism(g) for g in conj_gens],
-                "conjugated_words": [format_mask(w, m) for w in conjugated.words],
-                "orbit_check": conj_ct.verdict,
-            },
-            conj_ct.verdict,
-        )
+    conj_ct = certify_completely_transitive(conjugated, GroupHandle(m, conj_gens))
+    witness = {
+        "conjugator": format_automorphism(x),
+        "conjugated_generators": [format_automorphism(g) for g in conj_gens],
+        "conjugated_words": [format_mask(w, m) for w in conjugated.words],
+        "orbit_check": conj_ct.verdict,
+    }
+    claim = (
+        "complete transitivity is preserved under conjugation by a graph "
+        "automorphism"
     )
-    return certs
+    return claim, witness, conj_ct.passed
+
+
+# ---------------------------------------------------------------------------
+# the three searches, and how the replay reads and checks their outputs
+# ---------------------------------------------------------------------------
+
+
+def _search_design(p: _Inputs) -> None:
+    classes = enumerate_designs(p.delta // 2, p.m, p.delta, 2)
+    p.class_count, p.design = len(classes), (classes[0] if classes else None)
+
+
+def _search_sigma(p: _Inputs) -> None:
+    x = find_equivalence(p.candidate, p.reference, perms_only=True)
+    p.sigma = None if x is None else tuple(q + 1 for q in x.perm)
+
+
+def _search_group(p: _Inputs) -> None:
+    p.group = code_automorphism_group(p.reference, p.element_budget)
+
+
+def _read_design(p: _Inputs, witness: dict) -> None:
+    """The representative must be a t-design of index 2 on delta-point
+    blocks (``Design.verified`` checks the block count); the class count
+    is the one fact taken as recorded."""
+    blocks = [points_to_mask(points) for points in witness["representative_blocks"]]
+    design = Design.verified(blocks, p.m, p.delta // 2) if blocks else None
+    if design is not None and (design.block_size, design.lam) != (p.delta, 2):
+        raise _Mismatch(
+            f"the witness design has blocks of size {design.block_size} "
+            f"and index {design.lam}"
+        )
+    p.class_count, p.design = witness["class_count"], design
+
+
+def _read_sigma(p: _Inputs, witness: dict) -> None:
+    sigma = witness.get("sigma")
+    if sigma is not None:
+        perm = tuple(q - 1 for q in sigma)
+        if sorted(perm) != list(range(p.m)):
+            raise _Mismatch("sigma is not a permutation")
+        if {permute_mask(perm, w) for w in p.candidate.words} != set(p.reference.words):
+            raise _Mismatch("sigma does not carry the forced code onto the reference")
+        sigma = tuple(q + 1 for q in perm)
+    p.sigma = sigma
+
+
+def _read_group(p: _Inputs, witness: dict) -> None:
+    """The generators must stabilize the reference code, and their
+    stabilizer chain must have the recorded order."""
+    gens = tuple(parse_automorphism(s) for s in witness["generators"])
+    for g in gens:
+        if g.degree != p.m:
+            raise _Mismatch(f"generator degree {g.degree} vs code length {p.m}")
+    words = set(p.reference.words)
+    if any({apply_mask(g, w) for w in words} != words for g in gens):
+        raise _Mismatch("a generator does not stabilize the reference code")
+    chain = closure(gens, p.m, budget=p.element_budget).chain
+    if chain.order != witness["order"]:
+        raise _Mismatch(f"closure order {chain.order} != {witness['order']}")
+    p.group = GroupHandle(p.m, gens, chain)
+
+
+_SEARCHES = {
+    "classification/design-uniqueness": _search_design,
+    "classification/equivalence-witness": _search_sigma,
+    "theorem/automorphism-group": _search_group,
+}
+_READERS = {
+    "classification/design-uniqueness": _read_design,
+    "classification/equivalence-witness": _read_sigma,
+    "theorem/automorphism-group": _read_group,
+}
+
+
+# ---------------------------------------------------------------------------
+# the producer
+# ---------------------------------------------------------------------------
+
+
+def _produce(p: _Inputs, anchor: str) -> Certificate:
+    search = _SEARCHES.get(anchor)
+    if search is not None:
+        search(p)
+    return _build(anchor, p)
+
+
+def classify(m: int, delta: int, size_bound: int | None = None) -> ClassificationRun:
+    """Run the chain ``CHAIN[m]``; halt at the first failing certificate."""
+    _check_supported(m, delta)
+    if size_bound is None:
+        size_bound = SUPPORTED[(m, delta)]
+    p = _Inputs(m, delta, size_bound)
+    steps: list[Certificate] = []
+    for anchor in CHAIN[m]:
+        steps.append(_produce(p, anchor))
+        if not steps[-1].passed:
+            break
+    ok = steps[-1].passed
+    sigma = p.sigma if ok else None
+    return ClassificationRun(
+        m, delta, size_bound, tuple(steps), sigma, PASS if ok else FAIL
+    )
+
+
+def certify_theorem(
+    m: int, delta: int, element_budget: int = 10**6
+) -> list[Certificate]:
+    """Certify that the reference code is completely regular and
+    completely transitive, with the exact order of its symmetry group
+    from a stabilizer chain, and that the properties survive conjugation
+    by a graph automorphism."""
+    _check_supported(m, delta)
+    p = _Inputs(m, delta, element_budget=element_budget)
+    return [_produce(p, anchor) for anchor in THEOREM]
 
 
 # ---------------------------------------------------------------------------
@@ -597,258 +623,111 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _replay_design_index(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    delta = report["parameters"]["min_distance"]
-    max_lam, rows = _lambda_candidate_table(m, delta)
-    feasible = [row["index"] for row in rows if row["feasible"]]
-    w = cert.witness
-    if w["counting_bound"] != max_lam or w["candidates"] != rows:
-        return False, "candidate table does not replay"
-    expected = PASS if feasible == [2] else FAIL
-    return expected == cert.verdict, f"feasible indices {feasible}"
+def _canon(value) -> str:
+    return json.dumps(value, sort_keys=True, default=repr)
 
 
-def _replay_block_count(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    delta = report["parameters"]["min_distance"]
-    b = block_count(delta // 2, m, delta, 2)
-    ok = cert.witness["blocks"] == fraction_str(b) and (
-        (b.denominator == 1) == cert.passed
+def _differences(rebuilt: dict, recorded: dict) -> list[str]:
+    """The step fields, and the witness keys, where two steps differ."""
+    out = []
+    for key in sorted(set(rebuilt) | set(recorded)):
+        a, b = rebuilt.get(key), recorded.get(key)
+        if _canon(a) == _canon(b):
+            continue
+        if key == "witness" and isinstance(b, dict):
+            keys = sorted(set(a) | set(b))
+            out += [
+                f"witness.{k}" for k in keys if _canon(a.get(k)) != _canon(b.get(k))
+            ]
+        else:
+            out.append(key)
+    return out
+
+
+def _replay(p: _Inputs, anchor, step: dict) -> str:
+    if anchor not in _STEPS:
+        raise _Mismatch("unknown step anchor")
+    read = _READERS.get(anchor)
+    if read is not None:
+        try:
+            read(p, step["witness"])
+        except Exception as exc:
+            p.rejected = f"{anchor}: {exc}"
+            raise
+    rebuilt = _build(anchor, p).to_dict()
+    if _canon(rebuilt) != _canon(step):
+        fields = ", ".join(_differences(rebuilt, step))
+        raise _Mismatch(f"rebuilt certificate differs at {fields}")
+    return "rebuilt certificate matches"
+
+
+def _chain_faults(report: dict, steps: list, m) -> list[list[str]]:
+    """Faults in the chain's structure, each under the step where it shows.
+
+    The anchors must follow ``CHAIN[m]`` up to its first FAIL, then come
+    nothing or the ``THEOREM`` steps.  ``verdict`` is PASS iff the whole
+    chain is there and passed, and ``sigma`` is the equivalence witness's
+    sigma or null; both are checked on the chain's last step.
+    """
+    chain = CHAIN.get(m, ()) if isinstance(m, int) else ()
+    if not chain:
+        return [[f"no classification chain for length {m!r}"] for _ in steps]
+    anchors = [s.get("anchor") if isinstance(s, dict) else None for s in steps]
+    passed = [isinstance(s, dict) and s.get("verdict") == PASS for s in steps]
+    stop = next(
+        (i + 1 for i in range(min(len(chain), len(steps))) if not passed[i]), len(chain)
     )
-    return ok, f"block count {b}"
-
-
-def _witness_blocks(cert: Certificate, key: str = "representative_blocks"):
-    return [points_to_mask(pts) for pts in cert.witness[key]]
-
-
-def _replay_design_uniqueness(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    delta = report["parameters"]["min_distance"]
-    t = delta // 2
-    if cert.passed:
-        blocks = _witness_blocks(cert)
-        lam, _ = check_t_design(blocks, m, t)
-        if lam != 2:
-            return False, "witness blocks are not a design of index 2"
-        if len(blocks) != block_count(t, m, delta, 2):
-            return False, "witness block count mismatch"
-        if cert.witness["class_count"] != 1:
-            return False, "class count inconsistent with verdict"
-        return True, "witness design verified; count as recorded by the run"
-    return cert.witness["class_count"] != 1, "failure verdict consistent"
-
-
-def _replay_antipodality_and_size(report: dict, cert: Certificate, element_budget: int):
-    bound = report["size_bound"]
-    uniq = _find_cert(report, "classification/design-uniqueness")
-    blocks = _witness_blocks(uniq)
-    m = report["parameters"]["length"]
-    full = (1 << m) - 1
-    closed = all((full ^ b) in set(blocks) for b in blocks)
-    forced = 2 + len(blocks)
-    if closed != cert.witness["complement_closed"]:
-        return False, "complement closure does not replay"
-    if forced != cert.witness["forced_size"]:
-        return False, "forced size does not replay"
-    expected = PASS if closed and forced == bound else FAIL
-    return expected == cert.verdict, f"forced size {forced} vs bound {bound}"
-
-
-def _replay_second_weight_class(report: dict, cert: Certificate, element_budget: int):
-    rows = _mu_candidate_table(report["size_bound"])
-    feasible = [r["mu"] for r in rows if r["integral"] and r["within_bound"]]
-    if cert.witness["mu_candidates"] != rows:
-        return False, "index table does not replay"
-    expected = PASS if feasible == [3] else FAIL
-    return expected == cert.verdict, f"feasible weight-6 indices {feasible}"
-
-
-def _replay_size_23(report: dict, cert: Certificate, element_budget: int):
-    a = [Fraction(v) for v in cert.witness["distribution"]]
-    if len(a) != 12 or a[0] != 1 or a[5] != 11 or a[6] != 11 or sum(a) != 23:
-        return False, "hypothetical distribution malformed"
-    aprime = macwilliams_transform(a)
-    if [fraction_str(v) for v in aprime] != cert.witness["transform"]:
-        return False, "transform does not replay"
-    expected = PASS if aprime[2] < 0 else FAIL
-    return expected == cert.verdict, f"second transform entry {aprime[2]}"
-
-
-def _replay_interior_weights(report: dict, cert: Certificate, element_budget: int):
-    for row in cert.witness["weights"]:
-        i = row["weight"]
-        lam, _ = check_t_design([(1 << i) - 1], 11, 2)
-        if (lam is not None and lam > 0) != row["single_block_is_2_design"]:
-            return False, f"weight {i} check does not replay"
-        if row["single_block_is_2_design"]:
-            return cert.verdict == FAIL, "verdict consistent"
-    return cert.passed, "all interior weights rejected"
-
-
-def _replay_antipodality_11(report: dict, cert: Certificate, element_budget: int):
-    uniq = _find_cert(report, "classification/design-uniqueness")
-    blocks = _witness_blocks(uniq)
-    full = (1 << 11) - 1
-    lam, _ = check_t_design([full ^ b for b in blocks], 11, 2)
-    if lam != cert.witness["complement_design_index"]:
-        return False, "complement design index does not replay"
-    expected = PASS if lam == 3 else FAIL
-    return expected == cert.verdict, f"complement design index {lam}"
-
-
-def _replay_code_structure(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    delta = report["parameters"]["min_distance"]
-    words = [parse_mask(w)[0] for w in cert.witness["words"]]
-    code = Code(m, words)
-    if code.size != cert.witness["size"]:
-        return False, "size does not replay"
-    if code.min_distance != cert.witness["min_distance"]:
-        return False, "minimum distance does not replay"
-    expected = PASS if code.size == 24 and code.min_distance == delta else FAIL
-    return expected == cert.verdict, f"({m}, {code.size}, {code.min_distance}) code"
-
-
-def _replay_equivalence(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    delta = report["parameters"]["min_distance"]
-    if not cert.passed:
-        return True, "failure verdict recorded; nothing to replay"
-    candidate = [parse_mask(w)[0] for w in cert.witness["candidate_words"]]
-    sigma = cert.witness["sigma"]
-    perm = tuple(p - 1 for p in sigma)
-    if sorted(perm) != list(range(m)):
-        return False, "sigma is not a permutation"
-    image = {permute_mask(perm, w) for w in candidate}
-    reference = set(reference_code(m, delta).words)
-    return image == reference, "sigma carries the candidate onto the reference"
-
-
-def _replay_complete_regularity(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    delta = report["parameters"]["min_distance"]
-    reference = reference_code(m, delta)
-    creg = certify_completely_regular(reference)
-    table = [list(r) for r in creg.intersection_table]
-    ok = (
-        creg.completely_regular == cert.passed
-        and cert.witness["intersection_table"] == table
-        and cert.witness["covering_radius"] == creg.covering_radius
-    )
-    return ok, f"covering radius {creg.covering_radius}"
-
-
-def _parse_generators(cert: Certificate, key: str = "generators"):
-    return tuple(parse_automorphism(s) for s in cert.witness[key])
-
-
-def _replay_automorphism_group(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    delta = report["parameters"]["min_distance"]
-    reference = reference_code(m, delta)
-    gens = _parse_generators(cert)
-    if any(g.degree != m for g in gens):
-        return False, f"a generator is not of degree {m}"
-    words = set(reference.words)
-    for g in gens:
-        if {apply_mask(g, w) for w in reference.words} != words:
-            return False, "a generator does not stabilize the reference code"
-    closed = closure(gens, m, budget=element_budget)
-    if closed.order != cert.witness["order"]:
-        return False, f"closure order {closed.order} != {cert.witness['order']}"
-    # orbit-stabilizer: |G_0| = |G| / |orbit of 0|
-    orbit = orbit_of(0, gens)
-    zero_stab, rest = divmod(closed.order, len(orbit))
-    if rest or zero_stab != cert.witness["zero_stabilizer_order"]:
-        return False, "zero stabilizer order does not replay"
-    if len(orbit) != cert.witness["code_orbit_index"]:
-        return False, "orbit index does not replay"
-    transitive = orbit == words
-    if transitive != cert.witness["transitive_on_code"]:
-        return False, "transitivity on the code does not replay"
-    return cert.passed and transitive, f"order {closed.order}, stabilizer {zero_stab}"
-
-
-def _replay_complete_transitivity(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    delta = report["parameters"]["min_distance"]
-    reference = reference_code(m, delta)
-    gens = _parse_generators(cert)
-    group = GroupHandle(m, gens)
-    replayed = certify_completely_transitive(reference, group)
-    return replayed.verdict == cert.verdict, "orbit partition replayed"
-
-
-def _replay_equivalence_invariance(report: dict, cert: Certificate, element_budget: int):
-    m = report["parameters"]["length"]
-    words = [parse_mask(w)[0] for w in cert.witness["conjugated_words"]]
-    conjugated = Code(m, words)
-    gens = _parse_generators(cert, "conjugated_generators")
-    replayed = certify_completely_transitive(conjugated, GroupHandle(m, gens))
-    return replayed.verdict == cert.verdict, "conjugated orbit partition replayed"
-
-
-def _find_cert(report: dict, anchor: str) -> Certificate:
-    for step in report["steps"]:
-        if step["anchor"] == anchor:
-            return Certificate.from_dict(step)
-    raise KeyError(f"report has no step {anchor}")
-
-
-def _replay_size_bound(report: dict, cert: Certificate, element_budget: int):
-    bound = cert.witness["size_bound"]
-    ok = bound == report["size_bound"] and (bound > 0) == cert.passed
-    return ok, "configuration recorded"
-
-
-# every replayer takes (report, cert, element_budget) and returns (ok, detail)
-_REPLAYERS = {
-    "classification/size-bound": _replay_size_bound,
-    "classification/minimum-weight-design-index": _replay_design_index,
-    "classification/minimum-weight-block-count": _replay_block_count,
-    "classification/design-uniqueness": _replay_design_uniqueness,
-    "classification/antipodality-and-size": _replay_antipodality_and_size,
-    "classification/second-weight-class": _replay_second_weight_class,
-    "classification/size-23-rejection": _replay_size_23,
-    "classification/interior-weight-rejection": _replay_interior_weights,
-    "classification/antipodality": _replay_antipodality_11,
-    "classification/code-structure": _replay_code_structure,
-    "classification/equivalence-witness": _replay_equivalence,
-    "theorem/complete-regularity": _replay_complete_regularity,
-    "theorem/automorphism-group": _replay_automorphism_group,
-    "theorem/complete-transitivity": _replay_complete_transitivity,
-    "theorem/equivalence-invariance": _replay_equivalence_invariance,
-}
+    expected = chain[:stop] + (THEOREM if len(steps) > stop else ())
+    faults = []
+    for i, anchor in enumerate(anchors):
+        want = expected[i] if i < len(expected) else "the end of the report"
+        faults.append([] if anchor == want else [f"expected {want} here"])
+    if len(steps) < len(expected):
+        faults[-1].append(f"the report ends before {expected[len(steps)]}")
+    last = min(stop, len(steps)) - 1
+    n = len(chain)
+    complete = anchors[:n] == list(chain) and all(passed[:n])
+    verdict = PASS if complete else FAIL
+    if report.get("verdict") != verdict:
+        faults[last].append(f"the chain's verdict is {verdict}")
+    witness = steps[last].get("witness") if anchors[last] == chain[-1] else None
+    sigma = witness.get("sigma") if isinstance(witness, dict) else None
+    if _canon(report.get("sigma")) != _canon(sigma):
+        faults[last].append("sigma differs from the equivalence witness")
+    return faults
 
 
 def verify_report(report: dict, element_budget: int = 10**6):
-    """Re-verify every certificate in a report from its witness payload.
+    """Replay a report: rebuild each certificate from the report's
+    parameters and its witnessed search outputs, then compare.
 
-    Returns a list of (anchor, ok, detail) triples; all searches are
-    replaced by direct recomputation, a stabilizer chain of the witness
-    generators, or witness application.  ``element_budget`` bounds the
-    order of any group the replay builds.  Malformed input yields failed
-    triples, never an exception.
+    Returns one (anchor, ok, detail) triple per step.  A step is ok when
+    its witnessed search output (if any) checks out, the rebuilt
+    certificate equals the recorded step after a JSON round trip, and the
+    chain's structure has no fault at that step.  No search is re-run;
+    ``element_budget`` bounds the order of any group the replay builds.
+    Malformed input yields failed triples, never an exception.
     """
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != SCHEMA:
         return [("schema", False, f"unknown schema {schema!r}")]
     steps = report.get("steps")
-    if not isinstance(steps, list):
-        return [("steps", False, "report has no list of steps")]
+    if not isinstance(steps, list) or not steps:
+        return [("steps", False, "report has no steps")]
+    params = report.get("parameters")
+    params = params if isinstance(params, dict) else {}
+    m, delta = params.get("length"), params.get("min_distance")
+    p = _Inputs(m, delta, report.get("size_bound"), element_budget)
     results = []
-    for step in steps:
+    for step, faults in zip(steps, _chain_faults(report, steps, p.m)):
         anchor = step.get("anchor") if isinstance(step, dict) else None
         try:
-            cert = Certificate.from_dict(step)
-            replay = _REPLAYERS.get(anchor)
-            if replay is None:
-                ok, detail = False, "unknown step anchor"
-            else:
-                ok, detail = replay(report, cert, element_budget)
+            ok, detail = True, _replay(p, anchor, step)
+        except _Mismatch as exc:
+            ok, detail = False, str(exc)
         except Exception as exc:  # a malformed step must fail, not crash
             ok, detail = False, f"replay error: {exc}"
+        if faults:
+            ok, detail = False, "; ".join(faults + [detail])
         results.append((anchor, ok, detail))
     return results

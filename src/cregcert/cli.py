@@ -57,12 +57,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file (default: standard output)")
     parser.add_argument("--report", help="write a JSON report to this path")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker budget; results are identical for any value",
-    )
-    parser.add_argument(
         "--element-budget",
         type=int,
         default=DEFAULT_ELEMENT_BUDGET,
@@ -71,8 +65,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _validate_common(args) -> None:
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     if args.element_budget < 1:
         raise ValueError("--element-budget must be at least 1")
 

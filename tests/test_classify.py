@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cregcert.certs import FAIL, PASS
+from cregcert.hamming import format_mask
 from cregcert.classify import (
     build_report,
     certify_theorem,
@@ -284,3 +285,211 @@ def test_replay_budget_fails_the_group_step(report11):
     )
     assert not ok
     assert "1000" in detail
+
+
+def _witness(report, anchor):
+    return next(s for s in report["steps"] if s["anchor"] == anchor)["witness"]
+
+
+def _reference_words(report):
+    m = report["parameters"]["length"]
+    return [format_mask(w, m) for w in reference_code(m, m // 2).words]
+
+
+def _swap_sigma_everywhere(step, report):
+    for sigma in (step["witness"]["sigma"], report["sigma"]):
+        sigma[0], sigma[1] = sigma[1], sigma[0]
+
+
+BLOCK_COUNT = "classification/minimum-weight-block-count"
+EQUIVALENCE = "classification/equivalence-witness"
+TRANSITIVITY = "theorem/complete-transitivity"
+INVARIANCE = "theorem/equivalence-invariance"
+IDENTITY_11 = "0" * 11 + "|" + " ".join(str(i) for i in range(1, 12))
+
+# (id, step that must fail, edit(step, report)), each on the (11, 5) report
+_EDITS = [
+    (
+        "block-count-claim",
+        BLOCK_COUNT,
+        lambda s, r: s.update(claim=s["claim"].replace("exactly", "at most")),
+    ),
+    ("block-count-t", BLOCK_COUNT, lambda s, r: s["witness"].update(t=7)),
+    (
+        "interior-one-row",
+        "classification/interior-weight-rejection",
+        lambda s, r: s["witness"].update(weights=s["witness"]["weights"][:1]),
+    ),
+    (
+        "code-structure-reference-words",
+        "classification/code-structure",
+        lambda s, r: s["witness"].update(words=_reference_words(r)),
+    ),
+    (
+        "equivalence-identity",
+        EQUIVALENCE,
+        lambda s, r: s["witness"].update(
+            candidate_words=_reference_words(r), sigma=list(range(1, 12))
+        ),
+    ),
+    ("sigma-swapped-everywhere", EQUIVALENCE, _swap_sigma_everywhere),
+    (
+        "orbit-sizes-reversed",
+        TRANSITIVITY,
+        lambda s, r: s["witness"]["orbit_sizes"].reverse(),
+    ),
+    (
+        "representative-dropped",
+        TRANSITIVITY,
+        lambda s, r: s["witness"]["orbit_representatives"].pop(0),
+    ),
+    ("transitivity-claim", TRANSITIVITY, lambda s, r: s.update(claim=s["claim"] + "!")),
+    (
+        "conjugator-identity",
+        INVARIANCE,
+        lambda s, r: s["witness"].update(conjugator=IDENTITY_11),
+    ),
+    (
+        "orbit-check-fail",
+        INVARIANCE,
+        lambda s, r: s["witness"].update(orbit_check="FAIL"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "anchor, edit", [e[1:] for e in _EDITS], ids=[e[0] for e in _EDITS]
+)
+def test_replay_rejects_edited_witnesses(report11, anchor, edit):
+    tampered = json.loads(report_json(report11))
+    edit(next(s for s in tampered["steps"] if s["anchor"] == anchor), tampered)
+    assert tampered != json.loads(report_json(report11))
+    results = verify_report(tampered)
+    assert len(results) == len(tampered["steps"])
+    _, ok, detail = next(r for r in results if r[0] == anchor)
+    assert not ok, detail
+
+
+def _leaf_edits(node, path=()):
+    """Every single-node edit of a JSON value: each int bumped, string
+    altered, bool flipped and non-empty list shortened, as (path, value)."""
+    if isinstance(node, bool):
+        yield path, not node
+    elif isinstance(node, int):
+        yield path, node + 1
+    elif isinstance(node, str):
+        yield path, node + "x"
+    elif isinstance(node, list):
+        if node:
+            yield path, node[:-1]
+        for i, item in enumerate(node):
+            yield from _leaf_edits(item, path + (i,))
+    elif isinstance(node, dict):
+        for key, item in node.items():
+            yield from _leaf_edits(item, path + (key,))
+
+
+_SEARCHED = {
+    "classification/design-uniqueness",
+    "classification/equivalence-witness",
+}
+
+
+@pytest.mark.parametrize("length", [12, 11])
+def test_every_leaf_edit_fails_its_step(run12, run11, length):
+    report = json.loads(report_json(build_report(run12 if length == 12 else run11)))
+    assert all(ok for _, ok, _ in verify_report(report))
+    edited = set()
+    for index, step in enumerate(report["steps"]):
+        if step["anchor"] in _SEARCHED:
+            continue
+        for field in ("claim", "witness"):
+            for path, value in _leaf_edits(step[field]):
+                tampered = json.loads(report_json(report))
+                if path:
+                    node = tampered["steps"][index][field]
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = value
+                else:
+                    tampered["steps"][index][field] = value
+                anchor, ok, detail = verify_report(tampered)[index]
+                assert anchor == step["anchor"]
+                assert not ok, f"{anchor} {field} {path}: {detail}"
+                edited.add(anchor)
+    assert edited == {s["anchor"] for s in report["steps"]} - _SEARCHED
+
+
+def _flip_verdict(r):
+    r["verdict"] = FAIL
+
+
+def _reverse_sigma(r):
+    r["sigma"].reverse()
+
+
+def _delete_equivalence(r):
+    r["steps"] = [
+        s for s in r["steps"] if s["anchor"] != "classification/equivalence-witness"
+    ]
+
+
+def _cut_to_two(r):
+    r["steps"] = r["steps"][:2]
+
+
+@pytest.mark.parametrize(
+    "edit, failed",
+    [
+        (_flip_verdict, "classification/equivalence-witness"),
+        (_reverse_sigma, "classification/equivalence-witness"),
+        (_delete_equivalence, "theorem/complete-regularity"),
+        (_cut_to_two, "classification/minimum-weight-design-index"),
+    ],
+    ids=["verdict-flipped", "sigma-reversed", "equivalence-deleted", "cut-to-two"],
+)
+def test_replay_checks_the_chain_structure(report11, edit, failed):
+    tampered = json.loads(report_json(report11))
+    edit(tampered)
+    results = verify_report(tampered)
+    assert len(results) == len(tampered["steps"])
+    _, ok, detail = next(r for r in results if r[0] == failed)
+    assert not ok, detail
+
+
+def test_replay_fails_an_empty_step_list(report11):
+    tampered = json.loads(report_json(report11))
+    tampered["steps"] = []
+    assert [r[:2] for r in verify_report(tampered)] == [("steps", False)]
+
+
+@pytest.mark.parametrize("length", [12, 11])
+def test_failed_and_theorem_free_reports_replay(run12, run11, length):
+    failed = classify(length, length // 2, size_bound=22)
+    assert not failed.passed
+    passed = run12 if length == 12 else run11
+    for report in (build_report(failed), build_report(passed)):
+        for anchor, ok, detail in verify_report(json.loads(report_json(report))):
+            assert ok, f"{anchor}: {detail}"
+
+
+def test_replay_runs_no_search(report12, report11, monkeypatch):
+    import cregcert.classify as module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replay ran a search")
+
+    for name in ("enumerate_designs", "find_equivalence", "code_automorphism_group"):
+        monkeypatch.setattr(module, name, refuse)
+    for report in (report12, report11):
+        for anchor, ok, detail in verify_report(report):
+            assert ok, f"{anchor}: {detail}"
+
+
+def test_replay_refuses_a_group_of_another_order(report11):
+    tampered = json.loads(report_json(report11))
+    _witness(tampered, "theorem/automorphism-group")["order"] *= 2
+    details = {anchor: detail for anchor, ok, detail in verify_report(tampered)}
+    assert details["theorem/automorphism-group"] == "closure order 15840 != 31680"
+    for anchor in ("theorem/complete-transitivity", "theorem/equivalence-invariance"):
+        assert details[anchor].startswith("no checked group"), details[anchor]

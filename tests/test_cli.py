@@ -242,11 +242,6 @@ def test_certify_ct_rejects_generators_of_another_degree(workdir, code12_file):
     assert "degree 11" in result.stderr
 
 
-def test_thread_flag_validation(code12_file):
-    result = run_cli("analyze", str(code12_file), "--threads", "0")
-    assert result.returncode == 2
-
-
 def test_usage_error_exit_code():
     result = run_cli("nonsense")
     assert result.returncode == 2

@@ -661,6 +661,23 @@ def _replay(p: _Inputs, anchor, step: dict) -> str:
     return "rebuilt certificate matches"
 
 
+# the top-level fields build_report writes (runtime_seconds only when timed)
+REPORT_FIELDS = frozenset(
+    "schema kind parameters size_bound steps sigma verdict runtime_seconds".split()
+)
+
+
+def _field_faults(report: dict) -> list[str]:
+    """Faults in the report's own fields: its kind and any unknown key."""
+    faults = []
+    if report.get("kind") != "classification":
+        faults.append(f"kind is {report.get('kind')!r}, not 'classification'")
+    unknown = sorted(map(str, set(report) - REPORT_FIELDS))
+    if unknown:
+        faults.append(f"unknown report fields {unknown}")
+    return faults
+
+
 def _chain_faults(report: dict, steps: list, m) -> list[list[str]]:
     """Faults in the chain's structure, each under the step where it shows.
 
@@ -704,7 +721,9 @@ def verify_report(report: dict, element_budget: int = 10**6):
     Returns one (anchor, ok, detail) triple per step.  A step is ok when
     its witnessed search output (if any) checks out, the rebuilt
     certificate equals the recorded step after a JSON round trip, and the
-    chain's structure has no fault at that step.  No search is re-run;
+    chain's structure has no fault at that step.  A report whose ``kind``
+    is not "classification", or with a top-level field build_report does
+    not write, fails on its first step.  No search is re-run;
     ``element_budget`` bounds the order of any group the replay builds.
     Malformed input yields failed triples, never an exception.
     """
@@ -718,8 +737,10 @@ def verify_report(report: dict, element_budget: int = 10**6):
     params = params if isinstance(params, dict) else {}
     m, delta = params.get("length"), params.get("min_distance")
     p = _Inputs(m, delta, report.get("size_bound"), element_budget)
+    step_faults = _chain_faults(report, steps, p.m)
+    step_faults[0][:0] = _field_faults(report)  # report-level faults show on step one
     results = []
-    for step, faults in zip(steps, _chain_faults(report, steps, p.m)):
+    for step, faults in zip(steps, step_faults):
         anchor = step.get("anchor") if isinstance(step, dict) else None
         try:
             ok, detail = True, _replay(p, anchor, step)

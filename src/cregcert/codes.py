@@ -5,11 +5,14 @@ one shared length.  Everything derived from it (minimum distance,
 covering radius, distance partition and distribution) is computed
 exhaustively in exact arithmetic and cached on first use; at 2^m <= 4096
 vertices the exhaustive scan *is* the certificate.  Every vertex-level
-quantity is read from one cached scan, the outer distribution.
+quantity is read from one cached scan, the outer distribution: m
+butterfly passes over the 2^m vertices that keep each vertex's counts
+f_0..f_m as 16-bit fields of one int, unpacked only on demand.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +20,14 @@ from functools import cached_property
 from .certs import ResourceBudgetError
 from .hamming import MAX_LENGTH, check_length, format_mask, parse_mask
 
-SCAN_BUDGET = 1 << 24  # vertex-word pairs; every code of length <= 12 fits
+# 16-bit fields the butterfly holds, 2^m * (m+1); admits every m <= 18
+SCAN_BUDGET = 1 << 23
+FIELD_BITS = 16
+
+
+def _unpack(packed: int, count: int) -> tuple[int, ...]:
+    """The lowest ``count`` 16-bit fields of a packed row, field 0 first."""
+    return struct.unpack(f"<{count}H", packed.to_bytes(2 * count, "little"))
 
 
 class CodeFormatError(ValueError):
@@ -94,22 +104,32 @@ class Code:
     @cached_property
     def outer_distribution(self) -> "OuterDistribution":
         """f_k(nu) = |Gamma_k(nu) cap C| for all 2^m vertices nu: the
-        code's one vertex scan.  Raises ResourceBudgetError before
-        allocating when 2^m * N exceeds SCAN_BUDGET."""
-        m, words = self.length, self.words
-        if (1 << m) * len(words) > SCAN_BUDGET:
+        code's one vertex scan, a subset-sum butterfly.  Entry nu becomes
+        the sum over codewords c of z^wt(nu xor c), z^k being its 16-bit
+        field k.  Each pass pairs the lower and upper halves and
+        interleaves a + z*b and b + z*a (a perfect shuffle), so m passes
+        bring every index back in place.  Raises ResourceBudgetError
+        before allocating when 2^m * (m+1) fields exceed SCAN_BUDGET."""
+        m = self.length
+        if (1 << m) * (m + 1) > SCAN_BUDGET:
             raise ResourceBudgetError(
-                f"{1 << m} vertices x {len(words)} words exceeds the scan budget "
-                f"of {SCAN_BUDGET} vertex-word pairs"
+                f"{1 << m} vertices x {m + 1} distance fields exceeds the scan "
+                f"budget of {SCAN_BUDGET} fields"
             )
-        rows = []
-        for mask in range(1 << m):
-            f = [0] * (m + 1)
-            for w in words:
-                f[(mask ^ w).bit_count()] += 1
-            rows.append(tuple(f))
-        cells = tuple(next(k for k, v in enumerate(f) if v) for f in rows)
-        return OuterDistribution(m, tuple(rows), cells)
+        # after j passes field k counts the codewords that agree with the
+        # vertex on m-j coordinates and differ on k of the other j: at most
+        # C(j, k) <= C(18, 9) = 48,620 < 2^16, so no field ever carries
+        half = 1 << (m - 1)
+        p = [0] * (1 << m)
+        for w in self.words:
+            p[w] = 1
+        for _ in range(m):
+            lo, hi = p[:half], p[half:]
+            p[0::2] = [a + (b << FIELD_BITS) for a, b in zip(lo, hi)]
+            p[1::2] = [b + (a << FIELD_BITS) for a, b in zip(lo, hi)]
+        # the cell index is the lowest nonzero field
+        cells = tuple(((x & -x).bit_length() - 1) // FIELD_BITS for x in p)
+        return OuterDistribution(m, tuple(p), cells)
 
     def distance_to(self, mask: int) -> int:
         return self.outer_distribution.cell_index[mask]
@@ -243,14 +263,24 @@ class Code:
 
 @dataclass(frozen=True)
 class OuterDistribution:
-    """f_k(nu) for every vertex nu, with each vertex's cell index."""
+    """f_k(nu) for every vertex nu, with each vertex's cell index.
+
+    ``packed[nu]`` holds f_k(nu) in its 16-bit field k, so two vertices
+    have equal rows iff their packed ints are equal.
+    """
 
     length: int
-    rows: tuple[tuple[int, ...], ...]
+    packed: tuple[int, ...]
     cell_index: tuple[int, ...]
 
     def row(self, mask: int) -> tuple[int, ...]:
-        return self.rows[mask]
+        return _unpack(self.packed[mask], self.length + 1)
+
+    def distinct_prefixes(self, count: int) -> set[tuple[int, ...]]:
+        """The distinct prefixes (f_0..f_{count-1}) over all vertices,
+        found on the packed ints and unpacked once each."""
+        low = (1 << FIELD_BITS * count) - 1
+        return {_unpack(x, count) for x in {x & low for x in self.packed}}
 
 
 class DistancePartition:

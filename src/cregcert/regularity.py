@@ -2,7 +2,7 @@
 
 Complete regularity is decided by reading the code's cached outer
 distribution f_k(nu) = |Gamma_k(nu) cap C| of every vertex and checking
-each row is constant on its distance-partition cell; the resulting
+each packed row is constant on its distance-partition cell; the resulting
 intersection table is the certificate.  Complete transitivity is
 decided by direct orbit computation: a group stabilizing the code must
 have exactly the partition cells as vertex orbits.  The stabilizer-orbit
@@ -75,14 +75,16 @@ class RegularityCertificate:
 def certify_completely_regular(code: Code) -> RegularityCertificate:
     dist = outer_distribution(code)
     rho = max(dist.cell_index)
-    # each cell's reference row is the row of its least vertex
+    # each cell's reference row is the row of its least vertex; rows are
+    # compared packed and unpacked only for the table or a counterexample
     least = [dist.cell_index.index(i) for i in range(rho + 1)]
-    reference = tuple(dist.rows[v] for v in least)
-    for mask, (i, row) in enumerate(zip(dist.cell_index, dist.rows)):
-        if row != reference[i]:
-            k = next(a for a in range(code.length + 1) if row[a] != reference[i][a])
+    reference = [dist.packed[v] for v in least]
+    for mask, (i, x) in enumerate(zip(dist.cell_index, dist.packed)):
+        if x != reference[i]:
+            row, ref = dist.row(mask), dist.row(least[i])
+            k = next(a for a in range(code.length + 1) if row[a] != ref[a])
             return RegularityCertificate(False, rho, None, (i, least[i], mask, k))
-    return RegularityCertificate(True, rho, reference, None)
+    return RegularityCertificate(True, rho, tuple(map(dist.row, least)), None)
 
 
 def certify_completely_transitive(code: Code, group: GroupHandle) -> Certificate:

@@ -1,9 +1,10 @@
 """Krawtchouk polynomials, the MacWilliams transform, and packing weights.
 
 Everything here is exact: Krawtchouk values are integers, transforms are
-Fractions, and the uniformly-packed weights come out of a small rational
-Gaussian elimination.  Sign decisions (nonnegativity of the transform)
-are proof steps, so floating point never appears.
+Fractions, and the uniformly-packed weights come out of an incremental
+rational solve that eliminates only on the rows a running solution
+fails.  Sign decisions (nonnegativity of the transform) are proof steps,
+so floating point never appears.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .codes import Code
 
@@ -57,7 +59,8 @@ class PackingSolution:
     ``lambdas`` are the rational weights when the defining identity
     sum_{k=0..rho} lambda_k * f_k(nu) = 1 (a single index k binds both
     the weight and the radius) holds for every vertex nu; ``rows`` are
-    the distinct outer-distribution prefixes the solver worked from.
+    all the distinct outer-distribution prefixes (f_0..f_rho), sorted;
+    the verdict is checked against every one of them.
     """
 
     satisfied: bool
@@ -106,22 +109,41 @@ def solve_rational_system(rows, rhs) -> list[Fraction] | None:
     return solution
 
 
+def solve_unit_system(rows) -> tuple[Fraction, ...] | None:
+    """Solve sum_k x_k row[k] = 1 for every row, exactly: the solution
+    with free variables at zero, or None when the rows are inconsistent.
+
+    Checks the rows in integers against a solution scaled by its common
+    denominator; a failing row joins a basis and only the basis is
+    re-solved, raising its rank or proving inconsistency, so there are
+    at most unknowns + 1 solves.  The basis's pivot columns are among
+    the full system's (a column that depends on earlier ones in all rows
+    does so in any subset), so a basis solution that fits every row is
+    the full system's solution with free variables at zero.
+    """
+    basis: list[tuple[int, ...]] = []
+    weights, scale = (0,) * len(rows[0]), 1  # x_k = weights[k] / scale
+    while True:
+        row = next((r for r in rows if sum(map(mul, weights, r)) != scale), None)
+        if row is None:
+            return tuple(Fraction(w, scale) for w in weights)
+        basis.append(row)
+        solution = solve_rational_system(basis, [1] * len(basis))
+        if solution is None:
+            return None
+        scale = lcm(*(v.denominator for v in solution))
+        weights = tuple(v.numerator * (scale // v.denominator) for v in solution)
+
+
 def certify_uniformly_packed(code: Code) -> PackingSolution:
     """Decide whether rational weights lambda_0..lambda_rho exist with
     sum_k lambda_k |Gamma_k(nu) cap C| = 1 for every vertex nu.
 
-    Collects the distinct (f_0..f_rho) prefixes of the code's outer
-    distribution rows, solves the exact linear system, then re-verifies
-    any solution on every distinct row.  Unsatisfiable is a verdict, not
-    an error.
+    Solves the distinct (f_0..f_rho) prefixes of the packed outer
+    distribution, in sorted order, by ``solve_unit_system``: at most
+    rho+2 small eliminations.  Unsatisfiable is a verdict, not an error.
     """
-    rho = code.covering_radius
-    distinct = tuple(sorted({row[: rho + 1] for row in code.outer_distribution.rows}))
-    solution = solve_rational_system(distinct, [1] * len(distinct))
-    if solution is None:
-        return PackingSolution(False, None, distinct)
-    lambdas = tuple(solution)
-    for row in distinct:
-        if sum(l * v for l, v in zip(lambdas, row)) != 1:
-            return PackingSolution(False, None, distinct)
-    return PackingSolution(True, lambdas, distinct)
+    width = code.covering_radius + 1
+    distinct = tuple(sorted(code.outer_distribution.distinct_prefixes(width)))
+    lambdas = solve_unit_system(distinct)
+    return PackingSolution(lambdas is not None, lambdas, distinct)

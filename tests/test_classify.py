@@ -457,6 +457,46 @@ def test_replay_checks_the_chain_structure(report11, edit, failed):
     assert not ok, detail
 
 
+def _set_kind(r):
+    r["kind"] = "analysis"
+
+
+def _drop_kind(r):
+    del r["kind"]
+
+
+def _add_field(r):
+    r["extra"] = 1
+
+
+def _relabel_and_extend(r):
+    _set_kind(r)
+    _add_field(r)
+
+
+@pytest.mark.parametrize(
+    "edit, faults",
+    [
+        (_set_kind, ["kind is 'analysis'"]),
+        (_drop_kind, ["kind is None"]),
+        (_add_field, ["unknown report fields ['extra']"]),
+        (_relabel_and_extend, ["kind is 'analysis'", "['extra']"]),
+    ],
+    ids=["kind-analysis", "kind-missing", "extra-field", "both"],
+)
+def test_replay_checks_the_report_fields(run11, edit, faults):
+    report = json.loads(report_json(build_report(run11, runtime_seconds=1.5)))
+    assert all(ok for _, ok, _ in verify_report(report))
+    edit(report)
+    results = verify_report(report)
+    assert len(results) == len(report["steps"])
+    anchor, ok, detail = results[0]
+    assert anchor == "classification/size-bound"
+    assert not ok
+    assert all(fault in detail for fault in faults), detail
+    assert all(ok for _, ok, _ in results[1:])
+
+
 def test_replay_fails_an_empty_step_list(report11):
     tampered = json.loads(report_json(report11))
     tampered["steps"] = []

@@ -205,6 +205,22 @@ def test_analyze_refuses_a_scan_over_budget(workdir):
     assert "scan budget" in result.stderr
 
 
+def test_analyze_refuses_a_one_word_scan_over_budget(workdir):
+    # one word is few vertex-word pairs, but the scan still holds
+    # 2^24 x 25 distance fields, so the budget must refuse it
+    path = workdir / "one24.txt"
+    path.write_text("m=24\n" + "01" * 12 + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "cregcert.cli", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "scan budget" in result.stderr
+
+
 def test_aut_small_code(workdir):
     path = workdir / "rep3.txt"
     path.write_text("m=3\n000\n111\n")

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cregcert.codes import Code, CodeFormatError
+from cregcert.certs import ResourceBudgetError
+from cregcert.codes import SCAN_BUDGET, Code, CodeFormatError
 
 DIST12 = (1, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 1)
 DIST11 = (1, 0, 0, 0, 0, 11, 11, 0, 0, 0, 0, 1)
@@ -152,3 +156,52 @@ def test_constructor_validation():
         Code(4, [16])
     deduped = Code(4, [3, 3, 5])
     assert deduped.words == (3, 5)
+
+
+def pair_scan(code):
+    """f_k(v) for every vertex v, counted word by word."""
+    rows = []
+    for v in range(1 << code.length):
+        row = [0] * (code.length + 1)
+        for w in code.words:
+            row[(v ^ w).bit_count()] += 1
+        rows.append(tuple(row))
+    return rows
+
+
+@st.composite
+def small_codes(draw):
+    m = draw(st.integers(1, 10))
+    words = draw(
+        st.one_of(
+            st.sets(st.integers(0, (1 << m) - 1), min_size=1, max_size=40),
+            st.just(range(1 << min(m, 8))),  # all low words: the full space at m <= 8
+        )
+    )
+    return Code(m, words)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes())
+@example(Code(1, [1]))
+@example(Code(10, [0b1011001110]))
+@example(Code(10, range(1 << 10)))
+def test_butterfly_scan_matches_a_pair_scan(code):
+    dist = code.outer_distribution
+    for v, row in enumerate(pair_scan(code)):
+        assert dist.row(v) == row
+        assert dist.cell_index[v] == next(k for k, f in enumerate(row) if f)
+
+
+def test_largest_scan_fields_do_not_carry():
+    # in the full space of length 18 every field k holds C(18, k), up to
+    # C(18, 9) = 48,620 < 2^16: the largest count the budget admits
+    assert (1 << 18) * 19 <= SCAN_BUDGET < (1 << 19) * 20
+    dist = Code(18, range(1 << 18)).outer_distribution
+    assert len(set(dist.packed)) == 1
+    assert dist.row(12345) == tuple(comb(18, k) for k in range(19))
+
+
+def test_scan_budget_counts_fields_not_words():
+    with pytest.raises(ResourceBudgetError, match="scan budget"):
+        Code(19, [0]).outer_distribution

@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cregcert import spectral
 from cregcert.codes import Code
 from cregcert.spectral import (
     certify_uniformly_packed,
@@ -11,6 +16,7 @@ from cregcert.spectral import (
     krawtchouk_table,
     macwilliams_transform,
     solve_rational_system,
+    solve_unit_system,
 )
 
 
@@ -87,10 +93,10 @@ def test_external_distance(code12, code11):
 def test_uniformly_packed_codes(code12, code11):
     up12 = certify_uniformly_packed(code12)
     assert up12.satisfied
-    assert len(up12.lambdas) == 5
+    assert up12.lambdas == tuple(map(Fraction, ("1", "1", "4/9", "1/3", "1/9")))
     up11 = certify_uniformly_packed(code11)
     assert up11.satisfied
-    assert len(up11.lambdas) == 4
+    assert up11.lambdas == tuple(map(Fraction, ("1", "1", "1/3", "1/3")))
 
 
 def test_packing_weights_reverify_per_vertex(code12):
@@ -126,3 +132,82 @@ def test_solver_consistent_and_inconsistent():
     assert solve_rational_system([[1, 1], [2, 2]], [1, 3]) is None
     underdetermined = solve_rational_system([[1, 1]], [2])
     assert underdetermined == [Fraction(2), Fraction(0)]
+
+
+def sympy_unit_solution(rows):
+    """RREF over QQ of [rows | 1]: the solution with free variables at
+    zero, or None when a pivot lands in the right-hand column."""
+    width = len(rows[0])
+    reduced, pivots = sympy.Matrix([list(r) + [1] for r in rows]).rref()
+    if width in pivots:
+        return None
+    x = [Fraction(0)] * width
+    for i, c in enumerate(pivots):
+        x[c] = Fraction(int(reduced[i, width].p), int(reduced[i, width].q))
+    return tuple(x)
+
+
+def oracle_prefixes(code):
+    """Distinct sorted (f_0..f_rho) over all vertices, counted pairwise."""
+    rows = set()
+    for v in range(1 << code.length):
+        dists = [(v ^ w).bit_count() for w in code.words]
+        rows.add(tuple(dists.count(k) for k in range(code.length + 1)))
+    rho = max(next(k for k, f in enumerate(r) if f) for r in rows)
+    return tuple(sorted({r[: rho + 1] for r in rows}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-2, 3), min_size=4, max_size=4), min_size=1, max_size=7
+    ).map(lambda rows: [tuple(r) for r in rows])
+)
+@example([(1, 1, 0, 0)])  # underdetermined
+@example([(1, 2, 0, 0), (2, 4, 0, 0), (0, 0, 1, 1)])  # underdetermined, dependent rows
+@example([(1, 1, 0, 0), (2, 2, 0, 0)])  # inconsistent
+@example([(0, 0, 0, 0)])  # inconsistent, zero row
+def test_unit_system_matches_sympy(rows):
+    assert solve_unit_system(rows) == sympy_unit_solution(rows)
+
+
+@st.composite
+def small_codes(draw):
+    m = draw(st.integers(1, 7))
+    words = draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
+    return Code(m, words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+@example(Code(3, [0b000, 0b110, 0b101]))  # unsatisfiable
+@example(Code(4, [0]))
+@example(Code(5, range(32)))
+def test_packing_matches_sympy(code):
+    rows = oracle_prefixes(code)
+    expected = sympy_unit_solution(rows)
+    result = certify_uniformly_packed(code)
+    assert result.rows == rows
+    assert result.satisfied == (expected is not None)
+    assert result.lambdas == expected
+
+
+def test_packing_solves_at_most_rho_plus_two_systems(code12, code11, monkeypatch):
+    calls = []
+    original = spectral.solve_rational_system
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return original(rows, rhs)
+
+    monkeypatch.setattr(spectral, "solve_rational_system", counting)
+    rng = random.Random(8)
+    randoms = [
+        Code(m, rng.sample(range(1 << m), rng.randint(1, min(12, 1 << m))))
+        for m in range(2, 9)
+        for _ in range(3)
+    ]
+    for code in [code12, code11, Code(3, [0b000, 0b110, 0b101])] + randoms:
+        calls.clear()
+        certify_uniformly_packed(code)
+        assert 1 <= len(calls) <= code.covering_radius + 2

@@ -86,6 +86,7 @@ def cmd_construct(args) -> int:
 
 def _analysis_payload(code: Code) -> dict:
     dist = code.distance_distribution
+    aprime = macwilliams_transform(dist)
     packed = certify_uniformly_packed(code)
     payload = {
         "schema": SCHEMA,
@@ -95,10 +96,8 @@ def _analysis_payload(code: Code) -> dict:
         "min_distance": code.min_distance if code.size >= 2 else None,
         "covering_radius": code.covering_radius,
         "distance_distribution": [fraction_str(v) for v in dist],
-        "macwilliams_transform": [
-            fraction_str(v) for v in macwilliams_transform(dist)
-        ],
-        "external_distance": external_distance(code),
+        "macwilliams_transform": [fraction_str(v) for v in aprime],
+        "external_distance": external_distance(code, aprime),
         "uniformly_packed": packed.satisfied,
         "packing_weights": [fraction_str(v) for v in packed.lambdas]
         if packed.lambdas

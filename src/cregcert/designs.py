@@ -8,7 +8,10 @@ relabelings.  Enumeration is orderly generation: blocks are added in
 strictly decreasing bitmask order, coverage counters and completion
 horizons prune infeasible branches, partial solutions with a
 proven-greater relabeling are pruned, and the surviving complete
-solutions are reduced to one canonical representative per class.
+solutions are reduced to one canonical representative per class.  For
+t >= 3 a search opens with the star of the top point, one per derived
+(t-1)-design class (Kaski & Östergård, *Classification Algorithms for
+Codes and Designs*, 2006).
 """
 
 from __future__ import annotations
@@ -205,9 +208,12 @@ def design_automorphisms(design: Design, element_budget: int = 10**6) -> GroupHa
 # Canonicity: the sorted-descending block-bitmask sequence is compared
 # lexicographically over all point relabelings; the canonical labeling of a
 # design is the greatest.  Descending order makes every block through the
-# top point rank ahead of all others, so generation fixes one point's whole
-# star (a derived design, rigid for the parameters here) before anything
-# else, which is what keeps the search tree small.  The search below:
+# top point rank ahead of all others, so a canonical sequence opens with
+# the top point's star: the top bit added to a derived design's blocks.  A
+# relabeling of the other points that raised that prefix would raise the
+# whole sequence, so the derived design is itself canonical, and
+# generation opens with the derived representatives instead of testing
+# every prefix of the star.  The search below:
 # - keeps label sets runs of bits in descending order (a commitment only
 #   splits a run into its top c bits and the rest);
 # - tries the newest block first: if the prefix P was accepted, a relabeling
@@ -326,6 +332,11 @@ def enumerate_designs(
     """All t-(m, k, lam) designs up to isomorphism, one canonical
     representative each (the greatest labeling of its class).
 
+    For t >= 3 a sequence opens with the top point added to the blocks
+    of one representative from ``enumerate_designs(t-1, m-1, k-1, lam)``,
+    called with the same three budgets; for t <= 2 the greatest block
+    opens (1-design stars measured slower there).
+
     Returns an empty tuple when the parameter arithmetic already rules
     the designs out (fractional block count or derived index).  The
     complete solutions surviving the orderly search are reduced by
@@ -333,7 +344,8 @@ def enumerate_designs(
     canonicity test hit its node budget.  Raises ResourceBudgetError,
     before building them, when the search tables (one coverage counter
     per point subset, and each candidate block's subsets of size 1..t)
-    would hold more than ``table_budget`` entries.
+    would hold more than ``table_budget`` entries; both budget checks
+    run before the derived enumeration.
     """
     check_length(m)
     if not 0 < t <= k <= m:
@@ -380,7 +392,6 @@ def enumerate_designs(
     chosen: list[int] = []
     complete: list[tuple[int, ...]] = []
     point_cap = caps[1]
-    first_block = ((1 << k) - 1) << (m - k)  # the greatest block opens
     cap_by_index = tuple(caps[s] for s in range(1, t + 1))
 
     # which candidates cover each small subset, for the horizon prune
@@ -461,24 +472,43 @@ def enumerate_designs(
         last_start = len(candidates) - (b - len(chosen)) + 1
         for ci in range(start, last_start):
             mask = candidates[ci]
-            if not chosen and mask != first_block:
-                break  # only the greatest block can open a canonical sequence
             if forced and (mask & forced) != forced:
                 continue
             if not can_add(ci):
                 continue
             bump(ci, 1)
             chosen.append(mask)
-            if (
-                len(chosen) == 1
-                or blocks_are_canonical(tuple(chosen), m, canon_node_budget)
-                is not False
-            ):
+            if blocks_are_canonical(tuple(chosen), m, canon_node_budget) is not False:
                 extend(ci + 1)
             chosen.pop()
             bump(ci, -1)
 
-    extend(0)
+    if t <= 2:
+        openings = [(candidates[0],)]  # only the greatest block
+    else:
+        # the top point's canonical stars: the top bit added to each
+        # representative of the derived design
+        top = 1 << (m - 1)
+        openings = [
+            tuple(top | d for d in reversed(derived.blocks))
+            for derived in enumerate_designs(
+                t - 1, m - 1, k - 1, lam, block_budget, canon_node_budget, table_budget
+            )
+        ]
+    for opening in openings:
+        opened = [candidates.index(block) for block in opening]
+        for ci in opened:
+            assert can_add(ci)  # an opening covers nothing past its caps
+            bump(ci, 1)
+            chosen.append(candidates[ci])
+        if (
+            len(chosen) == 1
+            or blocks_are_canonical(tuple(chosen), m, canon_node_budget) is not False
+        ):
+            extend(opened[-1] + 1)
+        for ci in opened:
+            bump(ci, -1)
+        chosen.clear()
 
     # every class contains its canonical (greatest) labeling and that one
     # is never pruned, so keeping the first of each isomorphism class in

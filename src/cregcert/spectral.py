@@ -46,9 +46,11 @@ def macwilliams_transform(a) -> tuple[Fraction, ...]:
     )
 
 
-def external_distance(code: Code) -> int:
-    """One less than the number of nonzero MacWilliams transform entries."""
-    aprime = macwilliams_transform(code.distance_distribution)
+def external_distance(code: Code, aprime=None) -> int:
+    """One less than the number of nonzero MacWilliams transform entries;
+    ``aprime`` is the code's transform when the caller already holds it."""
+    if aprime is None:
+        aprime = macwilliams_transform(code.distance_distribution)
     return sum(1 for v in aprime if v != 0) - 1
 
 

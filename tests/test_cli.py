@@ -87,6 +87,26 @@ def test_analyze(code12_file, code11_file, workdir):
     assert "external distance: 3" in result.stdout
 
 
+def test_analyze_transforms_each_code_once(code11_file, workdir, monkeypatch):
+    from cregcert import cli, spectral
+
+    calls = []
+    transform = spectral.macwilliams_transform
+
+    def counting(a):
+        calls.append(a)
+        return transform(a)
+
+    monkeypatch.setattr(cli, "macwilliams_transform", counting)
+    monkeypatch.setattr(spectral, "macwilliams_transform", counting)
+    report_path = workdir / "analysis11_once.json"
+    assert cli.main(["analyze", str(code11_file), "--report", str(report_path)]) == 0
+    assert len(calls) == 1
+    payload = json.loads(report_path.read_text())
+    nonzero = [v for v in payload["macwilliams_transform"] if v != "0"]
+    assert payload["external_distance"] == len(nonzero) - 1 == 3
+
+
 def test_analyze_single_word_code(workdir):
     path = workdir / "single.txt"
     path.write_text("m=5\n00000\n")

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -331,3 +331,122 @@ def test_enumeration_table_budget_is_exact():
     with pytest.raises(ResourceBudgetError, match="338 table entries"):
         enumerate_designs(2, 7, 3, 1, table_budget=337)
     assert len(enumerate_designs(2, 7, 3, 1, table_budget=338)) == 1
+
+
+def count_labelled_designs(points, k, t, lam):
+    """Labelled t-(points, k, lam) designs without repeated blocks, by
+    exact cover: the first t-subset still short of lam takes all its
+    missing blocks at once, after which no other block through it fits,
+    so each design is reached along exactly one path."""
+    tsubs = [frozenset(s) for s in combinations(range(points), t)]
+    blocks = [frozenset(b) for b in combinations(range(points), k)]
+    inside = [[i for i, s in enumerate(tsubs) if s <= b] for b in blocks]
+    covers = [[j for j, b in enumerate(blocks) if s <= b] for s in tsubs]
+    count = [0] * len(tsubs)
+    chosen = [False] * len(blocks)
+
+    def fits(j):
+        return not chosen[j] and all(count[i] < lam for i in inside[j])
+
+    def place(j, delta):
+        chosen[j] = delta > 0
+        for i in inside[j]:
+            count[i] += delta
+
+    def search():
+        short = next((i for i, c in enumerate(count) if c < lam), None)
+        if short is None:
+            return 1
+        found = 0
+        options = [j for j in covers[short] if fits(j)]
+        for group in combinations(options, lam - count[short]):
+            placed = []
+            for j in group:
+                if not fits(j):
+                    break
+                place(j, 1)
+                placed.append(j)
+            else:
+                found += search()
+            for j in placed:
+                place(j, -1)
+        return found
+
+    return search()
+
+
+def parameter_id(params):
+    return "-".join(map(str, params))
+
+
+LABELLED_DESIGNS = {(3, 8, 4, 1): 30, (3, 8, 4, 2): 120}
+
+
+@pytest.mark.parametrize("params", sorted(LABELLED_DESIGNS), ids=parameter_id)
+def test_labelled_count_matches_the_orbit_sum(params):
+    # every labelled design lies in exactly one class D, which holds
+    # m!/|Aut D| of them; the counter shares nothing with the orderly search
+    t, m, k, lam = params
+    labelled = count_labelled_designs(m, k, t, lam)
+    assert labelled == LABELLED_DESIGNS[params]
+    classes = enumerate_designs(*params)
+    assert sum(factorial(m) // design_automorphisms(d).order for d in classes) == labelled
+
+
+# the representatives the search returned before it opened with stars
+PINNED_REPRESENTATIVES = {
+    (3, 8, 4, 2): (
+        15, 23, 43, 53, 58, 60, 77, 86, 89, 90, 99, 102, 108, 113,
+        142, 147, 153, 156, 165, 166, 169, 178, 195, 197, 202, 212, 232, 240,
+    ),
+    (3, 8, 4, 3): (
+        15, 23, 27, 39, 45, 54, 57, 58, 60, 75, 78, 85, 86, 89,
+        92, 99, 101, 106, 108, 113, 114, 141, 142, 147, 149, 154, 156, 163,
+        166, 169, 170, 177, 180, 195, 197, 198, 201, 210, 216, 228, 232, 240,
+    ),
+    (3, 10, 4, 1): (
+        15, 53, 58, 83, 108, 156, 163, 198, 201, 240, 278, 297, 325, 344, 354,
+        394, 401, 420, 537, 550, 586, 596, 609, 645, 658, 680, 771, 780, 816, 960,
+    ),
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_REPRESENTATIVES), ids=parameter_id)
+def test_pinned_representatives(params):
+    assert [d.blocks for d in enumerate_designs(*params)] == [
+        PINNED_REPRESENTATIVES[params]
+    ]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(3, 8, 4, 1), (3, 8, 4, 2), (3, 8, 4, 3), (3, 10, 4, 1), (3, 12, 6, 2)],
+    ids=parameter_id,
+)
+def test_top_star_is_a_derived_representative(params):
+    t, m, k, lam = params
+    top = 1 << (m - 1)
+    derived = {d.blocks for d in enumerate_designs(t - 1, m - 1, k - 1, lam)}
+    for design in enumerate_designs(*params):
+        star = tuple(sorted(b ^ top for b in design.blocks if b & top))
+        assert star in derived
+
+
+def test_derived_enumeration_inherits_the_budgets(monkeypatch):
+    calls = []
+    cached = designs.enumerate_designs
+
+    def counting(*args):
+        calls.append(args)
+        return cached(*args)
+
+    monkeypatch.setattr(designs, "enumerate_designs", counting)
+    search = cached.__wrapped__  # uncached, so every recursion is seen
+    # 3-(12,6,2): 22 blocks and 2^12 + 924 * (6 + 15 + 20) = 41,980 entries
+    with pytest.raises(ResourceBudgetError, match="22 blocks"):
+        search(3, 12, 6, 2, block_budget=21)
+    with pytest.raises(ResourceBudgetError, match="41980 table entries"):
+        search(3, 12, 6, 2, table_budget=41979)
+    assert calls == []
+    assert len(search(3, 8, 4, 1, 20, 5000, 1300)) == 1
+    assert calls == [(2, 7, 3, 1, 20, 5000, 1300)]

@@ -9,6 +9,7 @@ same inputs and configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -255,7 +256,10 @@ def cmd_aut(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process, built at the first ``main`` call rather than
+    at import, so it binds the ``cmd_*`` handlers the module holds then."""
     parser = argparse.ArgumentParser(
         prog="cregcert",
         description=(
@@ -306,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _validate_common(args)
         return args.func(args)

@@ -306,7 +306,11 @@ def blocks_are_canonical(
 
     Callers must treat an undecided partial solution as possibly
     canonical (and keep it); soundness of pruning only ever relies on
-    proven-greater verdicts.
+    proven-greater verdicts.  Refuting is cheap and proving is not: with
+    no budget, the 6,843 tests of the 3-(12,6,2) search (its derived
+    2-(11,5,2) search included) refute in a median of 8 nodes, 101 at
+    the 99th percentile, while 90% of all 2.7M nodes go into proving
+    canonical prefixes, 14 of which take 38k to 712k nodes each.
     """
     try:
         return not _image_greater_exists(tuple(blocks), m, node_budget)
@@ -326,11 +330,17 @@ def enumerate_designs(
     k: int,
     lam: int,
     block_budget: int = 64,
-    canon_node_budget: int = 30000,
+    canon_node_budget: int | None = 100,
     table_budget: int = 10**6,
 ) -> tuple[Design, ...]:
     """All t-(m, k, lam) designs up to isomorphism, one canonical
     representative each (the greatest labeling of its class).
+
+    The canonicity test only has to refute, since an undecided prefix is
+    kept like a proven one, so ``canon_node_budget`` (None: no limit) is
+    sized for refutations, not proofs; see ``blocks_are_canonical``.  Of
+    the budgets 20 to 30,000, 100 was the fastest summed over 31
+    parameter sets; smaller ones lose refutations and keep more prefixes.
 
     For t >= 3 a sequence opens with the top point added to the blocks
     of one representative from ``enumerate_designs(t-1, m-1, k-1, lam)``,

@@ -287,3 +287,43 @@ def test_aut_element_budget_is_a_usage_error(code12_file):
     result = run_cli("aut", str(code12_file), "--element-budget", "1000")
     assert result.returncode == 2
     assert "1000" in result.stderr
+
+
+def test_main_reuses_one_parser(workdir, code11_file, capsys):
+    # successive in-process calls, different subcommands and failures among
+    # them, answer as fresh processes do, and the parser is built once
+    from cregcert import cli
+
+    cli.build_parser.cache_clear()
+    bad_gens = workdir / "reuse_degree11.gens"
+    bad_gens.write_text("00000000000|2 1 3 4 5 6 7 8 9 10 11\n")
+    codefile = str(code11_file)
+    calls = [
+        ["construct", "code11", "--out", "{out}"],
+        ["analyze", codefile, "--report", "{out}"],
+        ["certify", codefile, "creg"],
+        ["enumerate-designs", "2", "7", "3", "1", "--out", "{out}"],
+        ["analyze", str(workdir / "missing.txt")],
+        ["nonsense"],
+        ["certify", codefile, "ct", "--generators", str(bad_gens)],
+        ["classify", "13", "6"],
+        ["aut", codefile],
+    ]
+    for i, argv in enumerate(calls):
+        outputs = []
+        for side in ("fresh", "reused"):
+            out = workdir / f"reuse_{side}_{i}.txt"
+            args = [str(out) if a == "{out}" else a for a in argv]
+            if side == "fresh":
+                result = run_cli(*args)
+                exit_code, stdout, stderr = result.returncode, result.stdout, result.stderr
+            else:
+                try:
+                    exit_code = cli.main(args)
+                except SystemExit as exc:  # argparse's usage error
+                    exit_code = exc.code
+                stdout, stderr = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            outputs.append((exit_code, stdout, stderr, written))
+        assert outputs[0] == outputs[1], argv
+    assert cli.build_parser.cache_info().misses == 1

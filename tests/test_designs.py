@@ -249,6 +249,10 @@ def test_design_header_must_name_every_parameter(design11):
         Design.from_text(text)
 
 
+def parameter_id(params):
+    return "-".join(map(str, params))
+
+
 def brute_force_canonical(seq, m):
     """No relabeling gives a greater sorted-descending block sequence."""
     for perm in permutations(range(m)):
@@ -284,9 +288,20 @@ def test_canonicity_matches_brute_force(case):
     assert blocks_are_canonical(seq, m) is brute_force_canonical(seq, m)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(descending_families(), st.integers(1, 300))
+# budget 1 leaves the non-canonical backjump family undecided
+@example(((56, 52, 42, 37, 35, 19), 6), 1)
+def test_undecided_verdicts_are_sound(case, node_budget):
+    seq, m = case
+    verdict = blocks_are_canonical(seq, m, node_budget)
+    assert verdict is None or verdict is brute_force_canonical(seq, m)
+
+
 def test_canonicity_matches_brute_force_on_orderly_prefixes(monkeypatch):
     # every prefix the orderly generation of 2-(6,3,2) asks about; unlike
-    # random families these reach the backjump's resume and reset paths
+    # random families these reach the backjump's resume and reset paths.
+    # With no node budget every verdict is decided, so every one is checked.
     verdicts = []
     decide = designs.blocks_are_canonical
 
@@ -296,7 +311,7 @@ def test_canonicity_matches_brute_force_on_orderly_prefixes(monkeypatch):
         return verdict
 
     monkeypatch.setattr(designs, "blocks_are_canonical", recording)
-    enumerate_designs.__wrapped__(2, 6, 3, 2)
+    enumerate_designs.__wrapped__(2, 6, 3, 2, canon_node_budget=None)
     assert len(verdicts) == 60
     mismatches = [
         (seq, verdict)
@@ -306,8 +321,10 @@ def test_canonicity_matches_brute_force_on_orderly_prefixes(monkeypatch):
     assert mismatches == []
 
 
-def test_undecided_canonicity_checks_are_canonical(monkeypatch):
-    # the cached enumeration is bypassed so every check runs and is seen
+def test_default_budget_keeps_the_exhaustive_representatives(monkeypatch):
+    # undecided prefixes are kept, so the small default budget changes the
+    # work but not the output; the derived search is uncached too, so
+    # every check runs and is seen
     undecided = []
     decide = designs.blocks_are_canonical
 
@@ -317,13 +334,28 @@ def test_undecided_canonicity_checks_are_canonical(monkeypatch):
             undecided.append(tuple(blocks))
         return verdict
 
+    search = enumerate_designs.__wrapped__
     monkeypatch.setattr(designs, "blocks_are_canonical", recording)
-    enumerate_designs.__wrapped__(2, 11, 5, 2)
-    assert undecided == []
-    enumerate_designs.__wrapped__(3, 12, 6, 2)
-    # the enumeration keeps these prefixes; each is proved canonical
-    assert len(undecided) == 14
-    assert all(decide(prefix, 12) is True for prefix in undecided)
+    monkeypatch.setattr(designs, "enumerate_designs", search)
+    for params, count in (((2, 11, 5, 2), 63), ((3, 12, 6, 2), 121)):
+        undecided.clear()
+        bounded = search(*params)
+        assert len(undecided) == count
+        undecided.clear()
+        assert search(*params, canon_node_budget=None) == bounded
+        assert undecided == []
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(1, 6, 3, 2), (2, 6, 3, 2), (2, 7, 3, 1), (2, 7, 3, 2), (2, 9, 3, 1), (3, 8, 4, 1)],
+    ids=parameter_id,
+)
+def test_representatives_do_not_depend_on_the_node_budget(params):
+    search = enumerate_designs.__wrapped__
+    exhaustive = search(*params, canon_node_budget=None)
+    assert search(*params, canon_node_budget=1) == exhaustive
+    assert search(*params) == exhaustive
 
 
 def test_enumeration_table_budget_is_exact():
@@ -373,10 +405,6 @@ def count_labelled_designs(points, k, t, lam):
         return found
 
     return search()
-
-
-def parameter_id(params):
-    return "-".join(map(str, params))
 
 
 LABELLED_DESIGNS = {(3, 8, 4, 1): 30, (3, 8, 4, 2): 120}

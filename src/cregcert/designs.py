@@ -5,10 +5,12 @@ Blocks are bitmasks over the point set (point i at bit i-1), and a
 design's canonical labeling is the one whose sorted-descending
 block-bitmask sequence is lexicographically greatest over all point
 relabelings.  Enumeration is orderly generation: blocks are added in
-strictly decreasing bitmask order, coverage counters and completion
-horizons prune infeasible branches, partial solutions with a
-proven-greater relabeling are pruned, and the surviving complete
-solutions are reduced to one canonical representative per class.  For
+strictly decreasing bitmask order; a new partial solution is first
+checked for feasibility (coverage counters and completion horizons),
+and only a feasible one is tested for canonicity and pruned on a
+proven-greater relabeling, since the cheap test discards most
+prefixes; a complete solution is kept only when proved canonical, so
+one representative per class survives.  For
 t >= 3 a search opens with the star of the top point, one per derived
 (t-1)-design class (Kaski & Östergård, *Classification Algorithms for
 Codes and Designs*, 2006).
@@ -16,10 +18,10 @@ Codes and Designs*, 2006).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 
@@ -28,7 +30,6 @@ from .hamming import check_length, ksubset_masks, points_to_mask
 from .symmetry import (
     GroupHandle,
     ResourceBudgetError,
-    find_family_isomorphism,
     setwise_stabilizer_perms,
 )
 
@@ -213,7 +214,8 @@ def design_automorphisms(design: Design, element_budget: int = 10**6) -> GroupHa
 # relabeling of the other points that raised that prefix would raise the
 # whole sequence, so the derived design is itself canonical, and
 # generation opens with the derived representatives instead of testing
-# every prefix of the star.  The search below:
+# every prefix of the star.  The orderly search asks about a prefix only
+# once it passed the coverage prunes.  The search below:
 # - keeps label sets runs of bits in descending order (a commitment only
 #   splits a run into its top c bits and the rest);
 # - tries the newest block first: if the prefix P was accepted, a relabeling
@@ -307,10 +309,11 @@ def blocks_are_canonical(
     Callers must treat an undecided partial solution as possibly
     canonical (and keep it); soundness of pruning only ever relies on
     proven-greater verdicts.  Refuting is cheap and proving is not: with
-    no budget, the 6,843 tests of the 3-(12,6,2) search (its derived
-    2-(11,5,2) search included) refute in a median of 8 nodes, 101 at
-    the 99th percentile, while 90% of all 2.7M nodes go into proving
-    canonical prefixes, 14 of which take 38k to 712k nodes each.
+    no budget, and canonicity tested before feasibility, the 6,843
+    tests of the 3-(12,6,2) search (its derived 2-(11,5,2) search
+    included) refuted in a median of 8 nodes, 101 at the 99th
+    percentile, while 90% of all 2.7M nodes went into proving canonical
+    prefixes, 14 of which took 38k to 712k nodes each.
     """
     try:
         return not _image_greater_exists(tuple(blocks), m, node_budget)
@@ -323,7 +326,26 @@ def blocks_are_canonical(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _cache_by_value(search):
+    """``lru_cache`` keyed on the bound arguments with the defaults filled
+    in, so a call that spells a default out (as the derived search does)
+    shares its entry with one that leaves it out.  ``cache_info``,
+    ``cache_clear`` and ``__wrapped__`` (the uncached search) are kept."""
+    signature = inspect.signature(search)
+    cached = lru_cache(maxsize=None)(search)
+
+    @wraps(search)
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+@_cache_by_value
 def enumerate_designs(
     t: int,
     m: int,
@@ -336,26 +358,35 @@ def enumerate_designs(
     """All t-(m, k, lam) designs up to isomorphism, one canonical
     representative each (the greatest labeling of its class).
 
-    The canonicity test only has to refute, since an undecided prefix is
-    kept like a proven one, so ``canon_node_budget`` (None: no limit) is
-    sized for refutations, not proofs; see ``blocks_are_canonical``.  Of
-    the budgets 20 to 30,000, 100 was the fastest summed over 31
-    parameter sets; smaller ones lose refutations and keep more prefixes.
+    A prefix is tested for canonicity only after it passed the
+    feasibility prunes, which are cheaper and discard most prefixes:
+    2-(11,5,2) asks 499 canonicity questions, and 3-(12,6,2) 585 with
+    its derived search (6,103 and 6,843 with canonicity tested first).
+    The test only has to refute, since an undecided prefix is kept like
+    a proven one, so ``canon_node_budget`` (None: no limit) is sized for
+    refutations, not proofs; see ``blocks_are_canonical``.  Of the
+    budgets 20 to 30,000, 100 is the fastest summed over 31 parameter
+    sets, with canonicity tested first or last; smaller ones lose
+    refutations and keep more prefixes.
 
     For t >= 3 a sequence opens with the top point added to the blocks
     of one representative from ``enumerate_designs(t-1, m-1, k-1, lam)``,
     called with the same three budgets; for t <= 2 the greatest block
     opens (1-design stars measured slower there).
 
+    The budget bounds the tests of partial solutions only.  A complete
+    solution gets an exact test and is kept only when proved canonical,
+    so each class yields exactly its greatest labeling and no
+    isomorphism pass is needed; an exact test of a design costs less
+    than proving two designs non-isomorphic.
+
     Returns an empty tuple when the parameter arithmetic already rules
-    the designs out (fractional block count or derived index).  The
-    complete solutions surviving the orderly search are reduced by
-    pairwise isomorphism, so the output is duplicate-free even when a
-    canonicity test hit its node budget.  Raises ResourceBudgetError,
-    before building them, when the search tables (one coverage counter
-    per point subset, and each candidate block's subsets of size 1..t)
-    would hold more than ``table_budget`` entries; both budget checks
-    run before the derived enumeration.
+    the designs out (a fractional block count or derived index, or a
+    derived index above the number of blocks through a subset).  Raises
+    ResourceBudgetError, before building them, when the search tables
+    (one coverage counter per point subset, and each candidate block's
+    subsets of size 1..t) would hold more than ``table_budget`` entries;
+    both budget checks run before the derived enumeration.
     """
     check_length(m)
     if not 0 < t <= k <= m:
@@ -376,120 +407,103 @@ def enumerate_designs(
             f"{entries} table entries exceed the enumeration table budget of "
             f"{table_budget}"
         )
-    caps = {}
+    # need[sub]: how many more blocks must cover the subset sub of size
+    # 1..t (the derived index lambda_s, less the chosen blocks through it)
+    need = [0] * (1 << m)
     for s in range(1, t + 1):
         cap = lambda_i(t, m, k, lam, s)
-        if cap.denominator != 1:
-            return ()
-        caps[s] = int(cap)
+        if cap.denominator != 1 or cap > comb(m - s, k - s):
+            return ()  # not integral, or more than the blocks through sub
+        for sub in ksubset_masks(m, s):
+            need[sub] = int(cap)
 
     candidates = tuple(reversed(tuple(ksubset_masks(m, k))))  # descending
-    cand_subsets: list[tuple[tuple[int, ...], ...]] = []
+    # each candidate's subsets of size 1..t, largest first: those fill up
+    # first, so the admission test fails on them early
+    cand_subs = []
     for c in candidates:
-        bits = [i for i in range(m) if (c >> i) & 1]
-        per_size = []
-        for s in range(1, t + 1):
-            masks = []
-            for sub in combinations(bits, s):
-                mask = 0
-                for i in sub:
-                    mask |= 1 << i
-                masks.append(mask)
-            per_size.append(tuple(masks))
-        cand_subsets.append(tuple(per_size))
-
-    cov = [0] * (1 << m)
+        bits = [1 << i for i in range(m) if (c >> i) & 1]
+        cand_subs.append(
+            tuple(sum(sub) for s in range(t, 0, -1) for sub in combinations(bits, s))
+        )
+    # the ascending indices of the candidates covering each subset, in
+    # the order the candidates first reach the subsets: those of the top
+    # points come first, and their coverers run out first
+    coverers: dict[int, list[int]] = {}
+    for ci, subs in enumerate(cand_subs):
+        for sub in subs:
+            coverers.setdefault(sub, []).append(ci)
+    horizon_list = tuple(coverers.items())
     chosen: list[int] = []
     complete: list[tuple[int, ...]] = []
-    point_cap = caps[1]
-    cap_by_index = tuple(caps[s] for s in range(1, t + 1))
-
-    # which candidates cover each small subset, for the horizon prune
-    t_subsets = tuple(ksubset_masks(m, t))
-    horizon_subsets = tuple(
-        sub for s in range(1, t + 1) for sub in ksubset_masks(m, s)
-    )
-    coverer_lists: dict[int, list[int]] = {sub: [] for sub in horizon_subsets}
-    for ci, per_size in enumerate(cand_subsets):
-        for subs in per_size:
-            for sub in subs:
-                coverer_lists[sub].append(ci)
-    coverers = {sub: tuple(v) for sub, v in coverer_lists.items()}
-    cap_of = {}
-    for s in range(1, t + 1):
-        for sub in ksubset_masks(m, s):
-            cap_of[sub] = caps[s]
-
-    # flat (subset, cap) pairs per candidate for the admission test
-    cand_checks = tuple(
-        tuple(
-            (sub, cap)
-            for cap, subs in zip(cap_by_index, per_size)
-            for sub in subs
-        )
-        for per_size in cand_subsets
-    )
 
     def can_add(ci: int) -> bool:
-        for sub, cap in cand_checks[ci]:
-            if cov[sub] >= cap:
+        for sub in cand_subs[ci]:
+            if not need[sub]:
                 return False
         return True
 
     def bump(ci: int, delta: int) -> None:
-        for subs in cand_subsets[ci]:
-            for sub in subs:
-                cov[sub] += delta
+        for sub in cand_subs[ci]:
+            need[sub] -= delta
 
-    def forced_points() -> int:
-        """Points every future block must contain, or -1 when some point
-        can no longer reach its required degree."""
-        remaining = b - len(chosen)
-        forced = 0
-        for p in range(m):
-            deficit = point_cap - cov[1 << p]
-            if deficit > remaining:
-                return -1
-            if deficit == remaining and remaining > 0:
-                forced |= 1 << p
-        return forced
+    def horizon(start: int) -> tuple[int, int, int] | None:
+        """What every block from candidate ``start`` on must contain, or
+        None when some subset can no longer be filled from there.
 
-    def horizon_ok(start: int) -> bool:
-        """Every still-deficient subset must have enough covering
-        candidates left at or beyond the next admissible index."""
+        Returns ``(forced, tight, limit)``: the union of the subsets that
+        need all the remaining blocks, and the subset whose coverers run
+        out first with the index of its last usable one, so that a
+        candidate past ``limit`` must contain ``tight``."""
         remaining = b - len(chosen)
-        for sub in horizon_subsets:
-            deficit = cap_of[sub] - cov[sub]
-            if deficit > 0:
+        forced, tight, limit = 0, 0, len(candidates)
+        for sub, lst in horizon_list:
+            deficit = need[sub]
+            if deficit:
                 if deficit > remaining:
-                    return False
-                lst = coverers[sub]
-                if len(lst) - bisect_right(lst, start - 1) < deficit:
-                    return False
-        return True
+                    return None
+                if deficit == remaining:
+                    forced |= sub
+                last = lst[-deficit]
+                if last < start:
+                    return None
+                if last < limit:
+                    tight, limit = sub, last
+        return forced, tight, limit
 
-    def extend(start: int) -> None:
+    def descend(start: int) -> None:
+        """Keep the prefix in ``chosen`` if it passes the cheap feasibility
+        prunes and then canonicity, and extend it from candidate ``start``."""
         if len(chosen) == b:
-            if all(cov[sub] == lam for sub in t_subsets):
-                if blocks_are_canonical(tuple(chosen), m, canon_node_budget) is not False:
-                    complete.append(tuple(chosen))
+            # b admitted blocks cover the t-subsets b * C(k, t) =
+            # lam * C(m, t) times, none past lam: a design, kept only when
+            # proved canonical, so that it is the one kept of its class
+            if blocks_are_canonical(tuple(chosen), m):
+                complete.append(tuple(chosen))
             return
-        forced = forced_points()
-        if forced < 0:
+        must = horizon(start)
+        if must is None:
             return
-        if not horizon_ok(start):
-            return
+        # a one-block prefix is an opening, the greatest block
+        if (
+            len(chosen) == 1
+            or blocks_are_canonical(tuple(chosen), m, canon_node_budget) is not False
+        ):
+            extend(start, *must)
+
+    def extend(start: int, forced: int, tight: int, limit: int) -> None:
         last_start = len(candidates) - (b - len(chosen)) + 1
         for ci in range(start, last_start):
             mask = candidates[ci]
-            if forced and (mask & forced) != forced:
+            if mask & forced != forced:
+                continue
+            if ci > limit and mask & tight != tight:
                 continue
             if not can_add(ci):
                 continue
             bump(ci, 1)
             chosen.append(mask)
-            if blocks_are_canonical(tuple(chosen), m, canon_node_budget) is not False:
-                extend(ci + 1)
+            descend(ci + 1)
             chosen.pop()
             bump(ci, -1)
 
@@ -511,20 +525,11 @@ def enumerate_designs(
             assert can_add(ci)  # an opening covers nothing past its caps
             bump(ci, 1)
             chosen.append(candidates[ci])
-        if (
-            len(chosen) == 1
-            or blocks_are_canonical(tuple(chosen), m, canon_node_budget) is not False
-        ):
-            extend(opened[-1] + 1)
+        descend(opened[-1] + 1)
         for ci in opened:
             bump(ci, -1)
         chosen.clear()
 
-    # every class contains its canonical (greatest) labeling and that one
-    # is never pruned, so keeping the first of each isomorphism class in
-    # descending sequence order keeps exactly the canonical representatives
-    reps: list[tuple[int, ...]] = []
-    for sol in sorted(complete, reverse=True):
-        if all(find_family_isomorphism(sol, rep, m) is None for rep in reps):
-            reps.append(sol)
-    return tuple(Design.verified(sol, m, t) for sol in reps)
+    # every class contains its canonical (greatest) labeling, which is
+    # never pruned and is the only one of its class proved canonical
+    return tuple(Design.verified(sol, m, t) for sol in sorted(complete, reverse=True))

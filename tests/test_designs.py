@@ -298,52 +298,86 @@ def test_undecided_verdicts_are_sound(case, node_budget):
     assert verdict is None or verdict is brute_force_canonical(seq, m)
 
 
-def test_canonicity_matches_brute_force_on_orderly_prefixes(monkeypatch):
-    # every prefix the orderly generation of 2-(6,3,2) asks about; unlike
-    # random families these reach the backjump's resume and reset paths.
-    # With no node budget every verdict is decided, so every one is checked.
-    verdicts = []
+@pytest.fixture
+def canonicity_log(monkeypatch):
+    """Every (blocks, m, verdict) the canonicity test returns, for uncached
+    searches: the derived search goes through the uncached one too."""
+    log = []
     decide = designs.blocks_are_canonical
 
     def recording(blocks, m, node_budget=None):
         verdict = decide(blocks, m, node_budget)
-        verdicts.append((tuple(blocks), m, verdict))
+        log.append((tuple(blocks), m, verdict))
         return verdict
 
     monkeypatch.setattr(designs, "blocks_are_canonical", recording)
-    enumerate_designs.__wrapped__(2, 6, 3, 2, canon_node_budget=None)
-    assert len(verdicts) == 60
-    mismatches = [
-        (seq, verdict)
-        for seq, m, verdict in verdicts
-        if verdict is not brute_force_canonical(seq, m)
-    ]
-    assert mismatches == []
+    monkeypatch.setattr(designs, "enumerate_designs", enumerate_designs.__wrapped__)
+    return log
 
 
-def test_default_budget_keeps_the_exhaustive_representatives(monkeypatch):
+def test_canonicity_matches_brute_force_on_orderly_prefixes(canonicity_log):
+    # every prefix the orderly generation asks about; unlike random
+    # families these reach the backjump's resume and reset paths.  With
+    # no node budget every verdict is decided, so every one is checked.
+    for params, asked in (((2, 6, 3, 2), 16), ((2, 7, 3, 2), 48)):
+        canonicity_log.clear()
+        designs.enumerate_designs(*params, canon_node_budget=None)
+        assert len(canonicity_log) == asked
+        mismatches = [
+            (seq, verdict)
+            for seq, m, verdict in canonicity_log
+            if verdict is not brute_force_canonical(seq, m)
+        ]
+        assert mismatches == []
+
+
+def test_default_budget_keeps_the_exhaustive_representatives(canonicity_log):
     # undecided prefixes are kept, so the small default budget changes the
     # work but not the output; the derived search is uncached too, so
     # every check runs and is seen
-    undecided = []
-    decide = designs.blocks_are_canonical
-
-    def recording(blocks, m, node_budget=None):
-        verdict = decide(blocks, m, node_budget)
-        if verdict is None:
-            undecided.append(tuple(blocks))
-        return verdict
-
-    search = enumerate_designs.__wrapped__
-    monkeypatch.setattr(designs, "blocks_are_canonical", recording)
-    monkeypatch.setattr(designs, "enumerate_designs", search)
-    for params, count in (((2, 11, 5, 2), 63), ((3, 12, 6, 2), 121)):
-        undecided.clear()
+    search = designs.enumerate_designs
+    for params, count in (((2, 11, 5, 2), 14), ((3, 12, 6, 2), 25)):
+        canonicity_log.clear()
         bounded = search(*params)
-        assert len(undecided) == count
-        undecided.clear()
+        assert sum(verdict is None for *_, verdict in canonicity_log) == count
+        canonicity_log.clear()
         assert search(*params, canon_node_budget=None) == bounded
-        assert undecided == []
+        assert all(verdict is not None for *_, verdict in canonicity_log)
+
+
+@pytest.mark.parametrize(
+    "params, asked",
+    [((2, 8, 4, 3), 475), ((2, 11, 5, 2), 499), ((3, 12, 6, 2), 585)],
+    ids=["2-8-4-3", "2-11-5-2", "3-12-6-2"],
+)
+def test_canonicity_is_asked_only_of_feasible_prefixes(canonicity_log, params, asked):
+    # the coverage prunes run first, so canonicity is asked once per
+    # feasible prefix: 499 and 585 times for the two designs of the
+    # classification (6,103 and 6,843 when canonicity ran first).  A
+    # prune that lets an infeasible prefix through asks more, and one
+    # that drops a feasible prefix asks fewer; in 2-(8,4,3) such
+    # prefixes lead to no design, so only this count shows them
+    designs.enumerate_designs(*params)
+    assert len(canonicity_log) == asked
+
+
+@pytest.mark.parametrize("params", [(1, 6, 3, 2), (2, 7, 3, 2), (3, 8, 4, 1)], ids=parameter_id)
+def test_complete_solutions_are_decided_at_any_budget(canonicity_log, params):
+    # the node budget bounds prefix tests only: a complete solution is
+    # kept only when proved canonical, so no isomorphism pass is needed
+    b = int(block_count(*params))
+    designs.enumerate_designs(*params, canon_node_budget=1)
+    complete = [verdict for blocks, _, verdict in canonicity_log if len(blocks) == b]
+    assert complete and None not in complete
+
+
+def test_derived_search_shares_the_cache_entry():
+    enumerate_designs.cache_clear()
+    enumerate_designs(2, 11, 5, 2)
+    enumerate_designs(3, 12, 6, 2)  # derived: (2, 11, 5, 2, 64, 100, 10**6)
+    enumerate_designs(2, 11, 5, 2, canon_node_budget=100)
+    info = enumerate_designs.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -407,7 +441,14 @@ def count_labelled_designs(points, k, t, lam):
     return search()
 
 
-LABELLED_DESIGNS = {(3, 8, 4, 1): 30, (3, 8, 4, 2): 120}
+LABELLED_DESIGNS = {
+    (1, 6, 3, 2): 75,
+    (2, 6, 3, 2): 12,
+    (2, 7, 3, 1): 30,
+    (2, 7, 3, 2): 120,
+    (3, 8, 4, 1): 30,
+    (3, 8, 4, 2): 120,
+}
 
 
 @pytest.mark.parametrize("params", sorted(LABELLED_DESIGNS), ids=parameter_id)
@@ -419,6 +460,20 @@ def test_labelled_count_matches_the_orbit_sum(params):
     assert labelled == LABELLED_DESIGNS[params]
     classes = enumerate_designs(*params)
     assert sum(factorial(m) // design_automorphisms(d).order for d in classes) == labelled
+
+
+@pytest.mark.parametrize(
+    "params", sorted(p for p in LABELLED_DESIGNS if p[0] <= 2), ids=parameter_id
+)
+def test_feasibility_prunes_keep_every_completable_prefix(monkeypatch, params):
+    # with every canonicity verdict True the search returns each labelled
+    # design through the opening (greatest) block, unless a prune drops a
+    # prefix that could be completed; each block lies in b / C(m, k) of
+    # the labelled designs
+    t, m, k, lam = params
+    monkeypatch.setattr(designs, "blocks_are_canonical", lambda *args: True)
+    found = enumerate_designs.__wrapped__(*params)
+    assert len(found) * comb(m, k) == LABELLED_DESIGNS[params] * block_count(*params)
 
 
 # the representatives the search returned before it opened with stars

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from inspect import signature
 
-from .certs import FAIL, PASS, SCHEMA, Certificate, fraction_str
+from .certs import FAIL, PASS, SCHEMA, Certificate, ResourceBudgetError, fraction_str
 from .codes import Code
 from .designs import Design, block_count, check_t_design, enumerate_designs, lambda_i
 from .hadamard import code_of, paley_hadamard_12
@@ -40,6 +40,7 @@ from .regularity import (
 )
 from .spectral import macwilliams_transform
 from .symmetry import (
+    GENERATOR_BUDGET,
     GraphAutomorphism,
     GroupHandle,
     apply_mask,
@@ -521,9 +522,15 @@ def _read_sigma(p: _Inputs, witness: dict) -> None:
 
 
 def _read_group(p: _Inputs, witness: dict) -> None:
-    """The generators must stabilize the reference code, and their
+    """At most GENERATOR_BUDGET generators, checked before any is
+    parsed; they must stabilize the reference code, and their
     stabilizer chain must have the recorded order."""
-    gens = tuple(parse_automorphism(s) for s in witness["generators"])
+    listed = witness["generators"]
+    if len(listed) > GENERATOR_BUDGET:
+        raise ResourceBudgetError(
+            f"{len(listed)} generators exceed the budget of {GENERATOR_BUDGET}"
+        )
+    gens = tuple(parse_automorphism(s) for s in listed)
     for g in gens:
         if g.degree != p.m:
             raise _Mismatch(f"generator degree {g.degree} vs code length {p.m}")

@@ -5,9 +5,11 @@ one shared length.  Everything derived from it (minimum distance,
 covering radius, distance partition and distribution) is computed
 exhaustively in exact arithmetic and cached on first use; at 2^m <= 4096
 vertices the exhaustive scan *is* the certificate.  Every vertex-level
-quantity is read from one cached scan, the outer distribution: m
-butterfly passes over the 2^m vertices that keep each vertex's counts
-f_0..f_m as 16-bit fields of one int, unpacked only on demand.
+quantity is read from one cached scan, the outer distribution: each
+vertex's counts f_0..f_m as 16-bit fields, vertices in ascending order,
+in one ``bytes`` object.  The scan works on blocks of 2^h vertices that
+share their high bits: one table add per codeword fills its block, and
+m - h butterfly passes over whole blocks spread the counts.
 """
 
 from __future__ import annotations
@@ -15,19 +17,30 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .certs import ResourceBudgetError
 from .hamming import MAX_LENGTH, check_length, format_mask, parse_mask
 
-# 16-bit fields the butterfly holds, 2^m * (m+1); admits every m <= 18
+# 16-bit fields the scan holds, 2^m * (m+1); admits every m <= 18
 SCAN_BUDGET = 1 << 23
 FIELD_BITS = 16
+# low bits of a scan block: a block holds the rows of 2^h vertices
+MAX_BLOCK_BITS = 6
+
+# byte -> 0xFF if nonzero: marks the vertices whose field is nonzero
+_NONZERO = bytes.maketrans(bytes(range(256)), b"\x00" + b"\xff" * 255)
 
 
-def _unpack(packed: int, count: int) -> tuple[int, ...]:
-    """The lowest ``count`` 16-bit fields of a packed row, field 0 first."""
-    return struct.unpack(f"<{count}H", packed.to_bytes(2 * count, "little"))
+@lru_cache(maxsize=None)
+def _block_table(m: int, h: int) -> tuple[int, ...]:
+    """Entry u: the rows of a 2^h-vertex block holding the one word u,
+    row v (m+1 fields from bit FIELD_BITS*(m+1)*v) being z^wt(u xor v)."""
+    row_bits, vs = FIELD_BITS * (m + 1), range(1 << h)
+    return tuple(
+        sum(1 << (row_bits * v + FIELD_BITS * (u ^ v).bit_count()) for v in vs)
+        for u in vs
+    )
 
 
 class CodeFormatError(ValueError):
@@ -104,32 +117,40 @@ class Code:
     @cached_property
     def outer_distribution(self) -> "OuterDistribution":
         """f_k(nu) = |Gamma_k(nu) cap C| for all 2^m vertices nu: the
-        code's one vertex scan, a subset-sum butterfly.  Entry nu becomes
-        the sum over codewords c of z^wt(nu xor c), z^k being its 16-bit
-        field k.  Each pass pairs the lower and upper halves and
-        interleaves a + z*b and b + z*a (a perfect shuffle), so m passes
-        bring every index back in place.  Raises ResourceBudgetError
-        before allocating when 2^m * (m+1) fields exceed SCAN_BUDGET."""
+        code's one vertex scan.  Row nu is the sum over codewords c of
+        z^wt(nu xor c), z^k being its 16-bit field k.  One int holds the
+        rows of a block, the 2^h vertices (h = min(m // 2, 6)) sharing
+        their high bits; each codeword adds its table entry to its block.
+        Each of m - h passes then pairs the lower and upper halves of the
+        blocks and interleaves a + z*b and b + z*a (a perfect shuffle),
+        which brings every block back in place.  Raises
+        ResourceBudgetError before allocating when 2^m * (m+1) fields
+        exceed SCAN_BUDGET."""
         m = self.length
         if (1 << m) * (m + 1) > SCAN_BUDGET:
             raise ResourceBudgetError(
                 f"{1 << m} vertices x {m + 1} distance fields exceeds the scan "
                 f"budget of {SCAN_BUDGET} fields"
             )
-        # after j passes field k counts the codewords that agree with the
-        # vertex on m-j coordinates and differ on k of the other j: at most
-        # C(j, k) <= C(18, 9) = 48,620 < 2^16, so no field ever carries
-        half = 1 << (m - 1)
-        p = [0] * (1 << m)
+        h = min(m // 2, MAX_BLOCK_BITS)
+        low = (1 << h) - 1
+        table = _block_table(m, h)
+        blocks = [0] * (1 << (m - h))
         for w in self.words:
-            p[w] = 1
-        for _ in range(m):
-            lo, hi = p[:half], p[half:]
-            p[0::2] = [a + (b << FIELD_BITS) for a, b in zip(lo, hi)]
-            p[1::2] = [b + (a << FIELD_BITS) for a, b in zip(lo, hi)]
-        # the cell index is the lowest nonzero field
-        cells = tuple(((x & -x).bit_length() - 1) // FIELD_BITS for x in p)
-        return OuterDistribution(m, tuple(p), cells)
+            blocks[w >> h] += table[w & low]
+        # after j passes field k of a row counts codewords that differ from
+        # its vertex on k of the h+j coordinates summed over so far and
+        # agree on the rest: at most C(18, 9) = 48,620 < 2^16, so no field
+        # carries into the next.  Fields above h+j are zero, so field m is
+        # zero until the last pass and a shift never reaches the next row.
+        half = len(blocks) // 2
+        for _ in range(m - h):
+            lo, hi = blocks[:half], blocks[half:]
+            blocks[0::2] = [a + (b << FIELD_BITS) for a, b in zip(lo, hi)]
+            blocks[1::2] = [b + (a << FIELD_BITS) for a, b in zip(lo, hi)]
+        size = 2 * (m + 1) << h
+        data = b"".join(b.to_bytes(size, "little") for b in blocks)
+        return OuterDistribution(m, data, _lowest_nonzero_fields(data, m))
 
     def distance_to(self, mask: int) -> int:
         return self.outer_distribution.cell_index[mask]
@@ -261,26 +282,54 @@ class Code:
         return cls(length, words)
 
 
+def _lowest_nonzero_fields(data: bytes, m: int) -> bytes:
+    """Each row's lowest nonzero field (its vertex's cell index), one
+    byte per vertex, read a column of fields at a time."""
+    stride = 2 * (m + 1)
+    n = len(data) // stride
+
+    def nonzero(offset: int) -> int:
+        # 0xFF in byte nu where byte ``offset`` of row nu is nonzero
+        return int.from_bytes(data[offset::stride].translate(_NONZERO), "little")
+
+    unset, cells = (1 << 8 * n) - 1, 0
+    for k in range(m + 1):
+        first = (nonzero(2 * k) | nonzero(2 * k + 1)) & unset
+        cells |= first & int.from_bytes(bytes([k]) * n, "little")
+        unset ^= first
+        if not unset:
+            break
+    return cells.to_bytes(n, "little")
+
+
 @dataclass(frozen=True)
 class OuterDistribution:
     """f_k(nu) for every vertex nu, with each vertex's cell index.
 
-    ``packed[nu]`` holds f_k(nu) in its 16-bit field k, so two vertices
-    have equal rows iff their packed ints are equal.
+    ``data`` holds the rows in vertex order, 2(m+1) bytes each, f_k(nu)
+    little-endian at byte 2(m+1)nu + 2k, so two vertices have equal rows
+    iff their slices are equal.  ``cell_index[nu]`` is nu's distance to
+    the code, its row's lowest nonzero field.
     """
 
     length: int
-    packed: tuple[int, ...]
-    cell_index: tuple[int, ...]
+    data: bytes
+    cell_index: bytes
+
+    @property
+    def row_bytes(self) -> int:
+        return 2 * (self.length + 1)
 
     def row(self, mask: int) -> tuple[int, ...]:
-        return _unpack(self.packed[mask], self.length + 1)
+        width = self.length + 1
+        return struct.unpack_from(f"<{width}H", self.data, mask * self.row_bytes)
 
     def distinct_prefixes(self, count: int) -> set[tuple[int, ...]]:
         """The distinct prefixes (f_0..f_{count-1}) over all vertices,
-        found on the packed ints and unpacked once each."""
-        low = (1 << FIELD_BITS * count) - 1
-        return {_unpack(x, count) for x in {x & low for x in self.packed}}
+        found on byte slices and unpacked once each."""
+        data, stride, width = self.data, self.row_bytes, 2 * count
+        slices = {data[i : i + width] for i in range(0, len(data), stride)}
+        return {struct.unpack(f"<{count}H", s) for s in slices}
 
 
 class DistancePartition:

@@ -2,7 +2,7 @@
 
 Complete regularity is decided by reading the code's cached outer
 distribution f_k(nu) = |Gamma_k(nu) cap C| of every vertex and checking
-each packed row is constant on its distance-partition cell; the resulting
+each row is constant on its distance-partition cell; the resulting
 intersection table is the certificate.  Complete transitivity is
 decided by direct orbit computation: a group stabilizing the code must
 have exactly the partition cells as vertex orbits.  The stabilizer-orbit
@@ -30,10 +30,11 @@ def outer_distribution(code: Code) -> OuterDistribution:
 class RegularityCertificate:
     """Verdict plus either the full intersection table or a counterexample.
 
-    The counterexample is the first failing pair in scan order (cells
-    ascending, vertices by ascending bitmask): two vertices in the same
-    cell whose outer-distribution rows differ, with the first radius
-    where they do.
+    The counterexample is (cell, least vertex of the cell, failing
+    vertex, radius): the failing vertex is the least vertex by bitmask,
+    in whatever cell, whose outer-distribution row differs from the row
+    of its cell's least vertex, and the radius is the first where the
+    two rows differ.  A lower cell may fail too, at a greater vertex.
     """
 
     completely_regular: bool
@@ -74,16 +75,27 @@ class RegularityCertificate:
 
 def certify_completely_regular(code: Code) -> RegularityCertificate:
     dist = outer_distribution(code)
-    rho = max(dist.cell_index)
-    # each cell's reference row is the row of its least vertex; rows are
-    # compared packed and unpacked only for the table or a counterexample
-    least = [dist.cell_index.index(i) for i in range(rho + 1)]
-    reference = [dist.packed[v] for v in least]
-    for mask, (i, x) in enumerate(zip(dist.cell_index, dist.packed)):
-        if x != reference[i]:
-            row, ref = dist.row(mask), dist.row(least[i])
-            k = next(a for a in range(code.length + 1) if row[a] != ref[a])
-            return RegularityCertificate(False, rho, None, (i, least[i], mask, k))
+    cells, data, stride = dist.cell_index, dist.data, dist.row_bytes
+    rho = max(cells)
+    # each cell's reference row is the row of its least vertex; the scan
+    # is compared whole against the reference rows laid out by cell
+    least = [cells.index(i) for i in range(rho + 1)]
+    reference = [data[v * stride : (v + 1) * stride] for v in least]
+    expected = b"".join(map(reference.__getitem__, cells))
+    if expected != data:
+        # bisect for the least failing vertex: rows below lo all match
+        lo, hi = 0, len(cells)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            span = slice(lo * stride, mid * stride)
+            if data[span] == expected[span]:
+                lo = mid
+            else:
+                hi = mid
+        i = cells[lo]
+        row, ref = dist.row(lo), dist.row(least[i])
+        k = next(a for a in range(code.length + 1) if row[a] != ref[a])
+        return RegularityCertificate(False, rho, None, (i, least[i], lo, k))
     return RegularityCertificate(True, rho, tuple(map(dist.row, least)), None)
 
 

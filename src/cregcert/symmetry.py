@@ -25,6 +25,9 @@ from .codes import Code
 from .hamming import LengthError, Vertex, format_mask, ksubset_masks, parse_mask
 
 DEFAULT_ELEMENT_BUDGET = 10**6
+# the most generators a replayed group witness may list; the producer
+# lists 27 at length 12 and 26 at length 11
+GENERATOR_BUDGET = 64
 
 
 class GraphAutomorphism(NamedTuple):

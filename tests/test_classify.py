@@ -1,10 +1,12 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 from cregcert.certs import FAIL, PASS
 from cregcert.hamming import format_mask
+from cregcert.symmetry import GENERATOR_BUDGET
 from cregcert.classify import (
     build_report,
     certify_theorem,
@@ -285,6 +287,29 @@ def test_replay_budget_fails_the_group_step(report11):
     )
     assert not ok
     assert "1000" in detail
+
+
+def test_producer_generators_fit_the_budget(report12, report11):
+    for report, count in ((report12, 27), (report11, 26)):
+        witness = _witness(report, "theorem/automorphism-group")
+        assert len(witness["generators"]) == count < GENERATOR_BUDGET
+
+
+def test_replay_refuses_too_many_generators_quickly(report11):
+    # every generator list repeated 10x: the rebuilt certificates would match
+    tampered = json.loads(report_json(report11))
+    for step in tampered["steps"]:
+        for key in ("generators", "conjugated_generators"):
+            if key in step["witness"]:
+                step["witness"][key] *= 10
+    start = time.perf_counter()
+    results = verify_report(tampered)
+    assert time.perf_counter() - start < 3.0
+    anchors = [anchor for anchor, _, _ in results]
+    first = anchors.index("theorem/automorphism-group")
+    assert all(ok for _, ok, _ in results[:first])
+    assert not any(ok for _, ok, _ in results[first:])
+    assert f"260 generators exceed the budget of {GENERATOR_BUDGET}" in results[first][2]
 
 
 def _witness(report, anchor):

@@ -1,3 +1,5 @@
+import random
+import struct
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from cregcert.certs import ResourceBudgetError
 from cregcert.codes import SCAN_BUDGET, Code, CodeFormatError
+from cregcert.regularity import certify_completely_regular
 
 DIST12 = (1, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 1)
 DIST11 = (1, 0, 0, 0, 0, 11, 11, 0, 0, 0, 0, 1)
@@ -186,6 +189,12 @@ def small_codes(draw):
 @example(Code(1, [1]))
 @example(Code(10, [0b1011001110]))
 @example(Code(10, range(1 << 10)))
+# blocks of 5 and 6 low bits; at m = 13 the block passes outnumber the low bits
+@example(Code(11, random.Random(11).sample(range(1 << 11), 24)))
+@example(Code(12, random.Random(12).sample(range(1 << 12), 24)))
+@example(Code(13, random.Random(13).sample(range(1 << 13), 30)))
+# vertex 0 sees 256 words at distance 5: a field whose low byte is zero
+@example(Code(11, [w for w in range(1 << 11) if w.bit_count() == 5][:256]))
 def test_butterfly_scan_matches_a_pair_scan(code):
     dist = code.outer_distribution
     for v, row in enumerate(pair_scan(code)):
@@ -198,8 +207,31 @@ def test_largest_scan_fields_do_not_carry():
     # C(18, 9) = 48,620 < 2^16: the largest count the budget admits
     assert (1 << 18) * 19 <= SCAN_BUDGET < (1 << 19) * 20
     dist = Code(18, range(1 << 18)).outer_distribution
-    assert len(set(dist.packed)) == 1
+    binomial_row = struct.pack("<19H", *(comb(18, k) for k in range(19)))
+    assert dist.data == binomial_row * (1 << 18)
     assert dist.row(12345) == tuple(comb(18, k) for k in range(19))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes())
+# vertex 1 of cell 1 fails before vertex 5 of cell 0: (1, 0, 1, 1)
+@example(Code(4, [4, 5, 7, 9, 10, 13]))
+@example(Code(12, random.Random(12).sample(range(1 << 12), 24)))
+def test_regularity_counterexample_matches_a_pair_scan(code):
+    rows = pair_scan(code)
+    cells = [next(k for k, f in enumerate(row) if f) for row in rows]
+    least = [cells.index(i) for i in range(max(cells) + 1)]
+    cert = certify_completely_regular(code)
+    failing = [v for v, row in enumerate(rows) if row != rows[least[cells[v]]]]
+    if not failing:
+        assert cert.completely_regular
+        assert cert.intersection_table == tuple(rows[v] for v in least)
+        return
+    v = failing[0]
+    ref = rows[least[cells[v]]]
+    k = next(k for k in range(code.length + 1) if rows[v][k] != ref[k])
+    assert not cert.completely_regular
+    assert cert.counterexample == (cells[v], least[cells[v]], v, k)
 
 
 def test_scan_budget_counts_fields_not_words():

@@ -15,9 +15,12 @@ m - h butterfly passes over whole blocks spread the counts.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations, starmap
+from operator import xor
 
 from .certs import ResourceBudgetError
 from .hamming import MAX_LENGTH, check_length, format_mask, parse_mask
@@ -107,12 +110,7 @@ class Code:
         """Smallest distance between distinct codewords (needs N >= 2)."""
         if self.size < 2:
             raise ValueError("minimum distance undefined for a single-word code")
-        ws = self.words
-        return min(
-            (ws[i] ^ ws[j]).bit_count()
-            for i in range(len(ws))
-            for j in range(i + 1, len(ws))
-        )
+        return next(i for i, a in enumerate(self.distance_distribution) if i and a)
 
     @cached_property
     def outer_distribution(self) -> "OuterDistribution":
@@ -173,15 +171,11 @@ class Code:
 
     @cached_property
     def distance_distribution(self) -> tuple[Fraction, ...]:
-        """a_i = ordered codeword pairs at distance i, divided by N."""
-        counts = [0] * (self.length + 1)
-        ws = self.words
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                counts[(ws[i] ^ ws[j]).bit_count()] += 2
-        counts[0] = len(ws)
-        n = Fraction(len(ws))
-        return tuple(Fraction(c) / n for c in counts)
+        """a_i = ordered codeword pairs at distance i, divided by N: one
+        walk over the unordered pairs, which also gives min_distance."""
+        pairs = Counter(map(int.bit_count, starmap(xor, combinations(self.words, 2))))
+        n, ks = self.size, range(1, self.length + 1)
+        return (Fraction(1),) + tuple(Fraction(2 * pairs[k], n) for k in ks)
 
     def weight_class(self, k: int) -> tuple[int, ...]:
         """All codewords of weight exactly k."""
@@ -325,11 +319,10 @@ class OuterDistribution:
         return struct.unpack_from(f"<{width}H", self.data, mask * self.row_bytes)
 
     def distinct_prefixes(self, count: int) -> set[tuple[int, ...]]:
-        """The distinct prefixes (f_0..f_{count-1}) over all vertices,
-        found on byte slices and unpacked once each."""
-        data, stride, width = self.data, self.row_bytes, 2 * count
-        slices = {data[i : i + width] for i in range(0, len(data), stride)}
-        return {struct.unpack(f"<{count}H", s) for s in slices}
+        """The distinct prefixes (f_0..f_{count-1}) over all vertices, read
+        in one ``struct.iter_unpack`` pass that skips the other fields."""
+        pad = self.row_bytes - 2 * count
+        return set(struct.iter_unpack(f"<{count}H{pad}x", self.data))
 
 
 class DistancePartition:

@@ -114,13 +114,12 @@ def parse_mask(text: str) -> tuple[int, int]:
     """Inverse of format_mask; returns (mask, length)."""
     m = len(text)
     check_length(m)
-    mask = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            mask |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid word character {ch!r} in {text!r}")
-    return mask, m
+    # what strip leaves starts at the first invalid character; int() alone
+    # would take signs, "_", "0b", spaces and non-ASCII digits
+    invalid = text.strip("01")
+    if invalid:
+        raise ValueError(f"invalid word character {invalid[0]!r} in {text!r}")
+    return int(text[::-1], 2), m
 
 
 def parse_vertex(text: str) -> Vertex:

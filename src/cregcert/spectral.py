@@ -1,10 +1,12 @@
 """Krawtchouk polynomials, the MacWilliams transform, and packing weights.
 
-Everything here is exact: Krawtchouk values are integers, transforms are
-Fractions, and the uniformly-packed weights come out of an incremental
-rational solve that eliminates only on the rows a running solution
-fails.  Sign decisions (nonnegativity of the transform) are proof steps,
-so floating point never appears.
+Everything here is exact and computed in integers: Krawtchouk values are
+integers, a transform entry is an integer sum over its input's common
+denominator, and the uniformly-packed weights come out of an incremental
+fraction-free solve that eliminates only on the rows a running solution
+fails.  Fractions are built only for results.  Sign decisions
+(nonnegativity of the transform) are proof steps, so floating point
+never appears.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .codes import Code
@@ -35,14 +37,18 @@ def krawtchouk_table(m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _integer_row(row) -> tuple[list[int], int]:
+    """Ints or Fractions as numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row], den
+
+
 def macwilliams_transform(a) -> tuple[Fraction, ...]:
-    """a'_k = sum_i a_i K_k(i) for a distance distribution of length m+1."""
-    m = len(a) - 1
-    table = krawtchouk_table(m)
-    coeffs = [Fraction(ai) for ai in a]
+    """a'_k = sum_i a_i K_k(i) for a distance distribution of length m+1
+    (ints or Fractions): integer sums over a's common denominator."""
+    nums, den = _integer_row(a)
     return tuple(
-        sum((ai * table[k][i] for i, ai in enumerate(coeffs)), Fraction(0))
-        for k in range(m + 1)
+        Fraction(sum(map(mul, nums, row)), den) for row in krawtchouk_table(len(a) - 1)
     )
 
 
@@ -78,36 +84,37 @@ def solve_rational_system(rows, rhs) -> list[Fraction] | None:
     """Solve A x = b exactly over the rationals.
 
     Returns one solution (free variables pinned to zero) or None when the
-    system is inconsistent.  Plain Gauss-Jordan on Fractions; the systems
+    system is inconsistent.  Fraction-free Gauss-Jordan on the rows of
+    [A | b] scaled to integers: pivot p at column c turns a row into
+    p * row - row[c] * pivot_row over its gcd, a nonzero multiple of the
+    Fraction row, so the pivots are plain Gauss-Jordan's.  The systems
     here have rho+1 unknowns, at most m+1 (a one-word code has rho = m).
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
+    aug = [_integer_row([*row, b])[0] for row, b in zip(rows, rhs)]
+    pivots, r = [], 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * p for v, p in zip(aug[i], aug[r])]
+        top = aug[r]
+        for i, row in enumerate(aug):
+            if i != r and row[c]:
+                new = [top[c] * v - row[c] * p for v, p in zip(row, top)]
+                g = gcd(*new)
+                aug[i] = [v // g for v in new] if g else new
         pivots.append(c)
         r += 1
         if r == len(aug):
             break
-    for row in aug[r:]:
-        if row[-1] != 0:
-            return None
+    if any(row[-1] for row in aug[r:]):
+        return None
     solution = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        solution[c] = aug[i][-1]
+        solution[c] = Fraction(aug[i][-1], aug[i][c])
     return solution
 
 

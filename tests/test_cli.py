@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -327,3 +329,36 @@ def test_main_reuses_one_parser(workdir, code11_file, capsys):
             outputs.append((exit_code, stdout, stderr, written))
         assert outputs[0] == outputs[1], argv
     assert cli.build_parser.cache_info().misses == 1
+
+
+# SHA-256 of each command's text output, then its --report JSON, then its
+# exit code, for the two reference codes and one fixed random code whose
+# distance distribution has proper fractions (certify creg exits 1 on it).
+# Outputs are part of the interface: a change to any byte needs an
+# explicit schema bump.
+PINNED_CLI_SHA256 = {
+    "analyze code12": "67212ca3c4e7972920aa9999fb3d51cc6544eb541ff4424c3ce750d0a9474507",
+    "analyze code11": "587e1769f8fe9d50f539a697051cf7d1d85fdf1470f57fe988aa2cac85911799",
+    "analyze random12": "e7f4e940aa6b396aea696567e2879909bdb8c090c21e7b8fa0469df38d2f75db",
+    "certify code12": "927be474090bf270e01c35aff85dce0d2e20dde6ffee38261e3808cc28d83663",
+    "certify code11": "a25872ef6ac1e2db833d70553f11632581d304492db04ce524339a92720100bc",
+    "certify random12": "14cd62f290ce8c71f69e731e242d0d1eb0fd2965774ff9ea0678ea34b0bcbb6f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CLI_SHA256))
+def test_analyze_and_certify_outputs_are_pinned(case, code12, code11, tmp_path):
+    from cregcert import cli
+
+    command, name = case.split()
+    codes = {
+        "code12": code12,
+        "code11": code11,
+        "random12": Code(12, random.Random(13).sample(range(1 << 12), 40)),
+    }
+    codefile, out, report = (tmp_path / f for f in ("code", "out", "report"))
+    codefile.write_text(codes[name].to_text())
+    argv = [command, str(codefile)] + (["creg"] if command == "certify" else [])
+    exit_code = cli.main(argv + ["--out", str(out), "--report", str(report)])
+    digest = hashlib.sha256(out.read_bytes() + report.read_bytes() + b"%d" % exit_code)
+    assert digest.hexdigest() == PINNED_CLI_SHA256[case]

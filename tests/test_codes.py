@@ -210,6 +210,8 @@ def test_largest_scan_fields_do_not_carry():
     binomial_row = struct.pack("<19H", *(comb(18, k) for k in range(19)))
     assert dist.data == binomial_row * (1 << 18)
     assert dist.row(12345) == tuple(comb(18, k) for k in range(19))
+    # fields of 2^15 and more read as unsigned
+    assert dist.distinct_prefixes(19) == {tuple(comb(18, k) for k in range(19))}
 
 
 @settings(max_examples=80, deadline=None)
@@ -232,6 +234,42 @@ def test_regularity_counterexample_matches_a_pair_scan(code):
     k = next(k for k in range(code.length + 1) if rows[v][k] != ref[k])
     assert not cert.completely_regular
     assert cert.counterexample == (cells[v], least[cells[v]], v, k)
+
+
+@pytest.mark.parametrize("m", range(1, 14))
+def test_distinct_prefixes_match_row_slices(m):
+    code = Code(m, random.Random(m).sample(range(1 << m), min(5, 1 << m)))
+    dist = code.outer_distribution
+    stride = 2 * (m + 1)
+    # count = m + 1 reads whole rows: a format with zero pad bytes
+    for count in (1, code.covering_radius + 1, m + 1):
+        rows = {
+            struct.unpack(f"<{count}H", dist.data[v * stride : v * stride + 2 * count])
+            for v in range(1 << m)
+        }
+        assert dist.distinct_prefixes(count) == rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes())
+@example(Code(5, [3]))
+@example(Code(3, [0, 7]))
+@example(Code(3, [0, 1, 7]))
+def test_min_distance_matches_a_pair_minimum(code):
+    ws = code.words
+    distances = [(a ^ b).bit_count() for i, a in enumerate(ws) for b in ws[i + 1 :]]
+    if not distances:
+        with pytest.raises(ValueError):
+            code.min_distance
+        return
+    assert code.min_distance == min(distances)
+
+
+def test_min_distance_needs_no_scan():
+    # past the scan budget the pair walk still answers, and repr with it
+    code = Code(24, [0, 0b111, (1 << 24) - 1])
+    assert code.min_distance == 3
+    assert repr(code) == "Code(m=24, N=3, delta=3)"
 
 
 def test_scan_budget_counts_fields_not_words():

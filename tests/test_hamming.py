@@ -10,6 +10,7 @@ from cregcert.hamming import (
     dist,
     format_mask,
     ksubset_masks,
+    parse_mask,
     parse_vertex,
     sphere,
     support,
@@ -122,6 +123,35 @@ def test_text_roundtrip():
     assert format_mask(v.bits, v.length) == "10110001110"
     with pytest.raises(ValueError):
         parse_vertex("10x1")
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        # each of these int(text[::-1], 2) would accept
+        ("1_0", "_"),
+        (" 01", " "),
+        ("01 ", " "),
+        ("+1", "+"),
+        ("0b1", "b"),
+        ("\uff11", "\uff11"),  # FULLWIDTH DIGIT ONE
+        ("10x1", "x"),
+        ("1x0y1", "x"),  # the first of two
+    ],
+)
+def test_parse_mask_rejects_the_first_invalid_character(text, bad):
+    with pytest.raises(ValueError) as err:
+        parse_mask(text)
+    assert str(err.value) == f"invalid word character {bad!r} in {text!r}"
+
+
+def test_parse_mask_inverts_format_mask():
+    rng = random.Random(5)
+    for m in range(1, 25):
+        for mask in (0, (1 << m) - 1, 1, 1 << (m - 1), rng.randrange(1 << m)):
+            assert parse_mask(format_mask(mask, m)) == (mask, m)
+    with pytest.raises(ValueError):
+        parse_mask("")
 
 
 def test_vertex_validation():

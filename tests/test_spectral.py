@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from fractions import Fraction as F
 from math import comb
 
 import pytest
@@ -134,17 +135,85 @@ def test_solver_consistent_and_inconsistent():
     assert underdetermined == [Fraction(2), Fraction(0)]
 
 
-def sympy_unit_solution(rows):
-    """RREF over QQ of [rows | 1]: the solution with free variables at
+def sympy_solution(rows, rhs):
+    """RREF over QQ of [rows | rhs]: the solution with free variables at
     zero, or None when a pivot lands in the right-hand column."""
     width = len(rows[0])
-    reduced, pivots = sympy.Matrix([list(r) + [1] for r in rows]).rref()
+    augmented = sympy.Matrix([list(r) + [b] for r, b in zip(rows, rhs)])
+    reduced, pivots = augmented.rref()
     if width in pivots:
         return None
     x = [Fraction(0)] * width
     for i, c in enumerate(pivots):
         x[c] = Fraction(int(reduced[i, width].p), int(reduced[i, width].q))
     return tuple(x)
+
+
+def sympy_unit_solution(rows):
+    return sympy_solution(rows, [1] * len(rows))
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.tuples(
+                st.lists(small_fractions, min_size=width, max_size=width),
+                small_fractions,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+# the second row eliminates to all zeros, right-hand side included
+@example([([1, 2], 1), ([2, 4], 2)])
+@example([([1, 2], 1), ([2, 4], 3)])  # ... and to 0 = 1
+@example([([F(1, 2), F(1, 3)], 1), ([F(2, 3), F(-1, 4)], F(5, 7))])
+@example([([F(1, 2), 1, 0], F(-1, 3)), ([1, 2, 0], F(-2, 3)), ([0, 0, F(3, 4)], 0)])
+def test_rational_system_matches_sympy(system):
+    rows = [row for row, _ in system]
+    rhs = [b for _, b in system]
+    solution = solve_rational_system(rows, rhs)
+    expected = sympy_solution(rows, rhs)
+    assert (solution is None) == (expected is None)
+    if solution is not None:
+        assert tuple(solution) == expected
+        assert all(type(v) is Fraction for v in solution)
+
+
+def fraction_transform(a):
+    """a'_k = sum_i a_i K_k(i), one Fraction multiply-add per term, with
+    K_k(i) from its defining sum."""
+    m = len(a) - 1
+
+    def kraw(k, x):
+        return sum((-1) ** j * comb(x, j) * comb(m - x, k - j) for j in range(k + 1))
+
+    return tuple(
+        sum((Fraction(ai) * kraw(k, i) for i, ai in enumerate(a)), Fraction(0))
+        for k in range(m + 1)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=24)),
+        min_size=1,
+        max_size=14,
+    )
+)
+@example([1, 0, 0, 0, 0, 11, 11, 0, 0, 0, 0, 0])  # the hypothetical 23-word code
+@example([F(1, 2), F(-1, 3), 0, F(5, 12)])
+@example([0])
+def test_transform_matches_a_fraction_sum(a):
+    aprime = macwilliams_transform(a)
+    assert aprime == fraction_transform(a)
+    assert all(type(v) is Fraction for v in aprime)
 
 
 def oracle_prefixes(code):

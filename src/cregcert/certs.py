@@ -10,6 +10,7 @@ reports serialize deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 SCHEMA = "creg-cert/1"
 
@@ -45,9 +46,7 @@ class Certificate:
         }
 
 
-def fraction_str(value) -> str:
-    """Fractions as 'p' or 'p/q' strings for exact, readable witnesses."""
-    from fractions import Fraction
-
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def fraction_str(value: int | Fraction) -> str:
+    """An int or a Fraction as a 'p' or 'p/q' string, for exact, readable
+    witnesses: ``str`` of a Fraction already omits a denominator of 1."""
+    return str(value)

@@ -685,7 +685,7 @@ def _field_faults(report: dict) -> list[str]:
     return faults
 
 
-def _chain_faults(report: dict, steps: list, m) -> list[list[str]]:
+def _chain_faults(report: dict, steps: list, anchors: list, m: int) -> list[list[str]]:
     """Faults in the chain's structure, each under the step where it shows.
 
     The anchors must follow ``CHAIN[m]`` up to its first FAIL, then come
@@ -693,10 +693,7 @@ def _chain_faults(report: dict, steps: list, m) -> list[list[str]]:
     chain is there and passed, and ``sigma`` is the equivalence witness's
     sigma or null; both are checked on the chain's last step.
     """
-    chain = CHAIN.get(m, ()) if isinstance(m, int) else ()
-    if not chain:
-        return [[f"no classification chain for length {m!r}"] for _ in steps]
-    anchors = [s.get("anchor") if isinstance(s, dict) else None for s in steps]
+    chain = CHAIN[m]
     passed = [isinstance(s, dict) and s.get("verdict") == PASS for s in steps]
     stop = next(
         (i + 1 for i in range(min(len(chain), len(steps))) if not passed[i]), len(chain)
@@ -730,9 +727,12 @@ def verify_report(report: dict, element_budget: int = 10**6):
     certificate equals the recorded step after a JSON round trip, and the
     chain's structure has no fault at that step.  A report whose ``kind``
     is not "classification", or with a top-level field build_report does
-    not write, fails on its first step.  No search is re-run;
-    ``element_budget`` bounds the order of any group the replay builds.
-    Malformed input yields failed triples, never an exception.
+    not write, fails on its first step.  Parameters that are not a
+    supported (length, min_distance) pair of ints fail every step before
+    any witness is read, since readers and builders loop over both.  No
+    search is re-run; ``element_budget`` bounds the order of any group
+    the replay builds.  Malformed input yields failed triples, never an
+    exception.
     """
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != SCHEMA:
@@ -740,15 +740,19 @@ def verify_report(report: dict, element_budget: int = 10**6):
     steps = report.get("steps")
     if not isinstance(steps, list) or not steps:
         return [("steps", False, "report has no steps")]
+    anchors = [s.get("anchor") if isinstance(s, dict) else None for s in steps]
     params = report.get("parameters")
     params = params if isinstance(params, dict) else {}
     m, delta = params.get("length"), params.get("min_distance")
+    # type(...) is int: a bool is no length, and 12.0 would hash as 12
+    if type(m) is not int or type(delta) is not int or (m, delta) not in SUPPORTED:
+        detail = f"no classification chain for parameters ({m!r}, {delta!r})"
+        return [(anchor, False, detail) for anchor in anchors]
     p = _Inputs(m, delta, report.get("size_bound"), element_budget)
-    step_faults = _chain_faults(report, steps, p.m)
+    step_faults = _chain_faults(report, steps, anchors, m)
     step_faults[0][:0] = _field_faults(report)  # report-level faults show on step one
     results = []
-    for step, faults in zip(steps, step_faults):
-        anchor = step.get("anchor") if isinstance(step, dict) else None
+    for anchor, step, faults in zip(anchors, steps, step_faults):
         try:
             ok, detail = True, _replay(p, anchor, step)
         except _Mismatch as exc:

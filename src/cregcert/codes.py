@@ -23,7 +23,7 @@ from itertools import combinations, starmap
 from operator import xor
 
 from .certs import ResourceBudgetError
-from .hamming import MAX_LENGTH, check_length, format_mask, parse_mask
+from .hamming import check_length, format_mask, parse_mask
 
 # 16-bit fields the scan holds, 2^m * (m+1); admits every m <= 18
 SCAN_BUDGET = 1 << 23
@@ -192,8 +192,8 @@ class Code:
     def puncture(self, p: int) -> "Code":
         """Delete coordinate p (1-based) from every codeword.
 
-        Colliding words are deduplicated silently; use
-        ``puncture_collides`` to ask whether any collision occurred.
+        Colliding words are deduplicated silently, so the punctured code
+        is smaller exactly when two codewords differ only at p.
         """
         if not 1 <= p <= self.length:
             raise ValueError(f"coordinate {p} out of range 1..{self.length}")
@@ -204,37 +204,6 @@ class Code:
         return Code(
             self.length - 1, ((w & low) | ((w >> 1) & ~low) for w in self.words)
         )
-
-    def puncture_collides(self, p: int) -> bool:
-        """Whether deleting coordinate p merges two codewords."""
-        return self.puncture(p).size < self.size
-
-    def project(self, coords) -> "Code":
-        """Keep only the listed coordinates, preserving their order."""
-        cs = sorted(set(coords))
-        if not cs:
-            raise ValueError("projection needs a nonempty coordinate set")
-        if cs[0] < 1 or cs[-1] > self.length:
-            raise ValueError(f"coordinates must lie in 1..{self.length}")
-        return Code(
-            len(cs),
-            (
-                sum(((w >> (c - 1)) & 1) << j for j, c in enumerate(cs))
-                for w in self.words
-            ),
-        )
-
-    def extend_parity(self, position: str = "back") -> "Code":
-        """Append a parity bit so every output word has even weight."""
-        if position not in ("front", "back"):
-            raise ValueError(f"position must be 'front' or 'back', got {position!r}")
-        if self.length + 1 > MAX_LENGTH:
-            raise ValueError("extension exceeds the supported length")
-        if position == "front":
-            new = ((w << 1) | (w.bit_count() & 1) for w in self.words)
-        else:
-            new = (w | ((w.bit_count() & 1) << self.length) for w in self.words)
-        return Code(self.length + 1, new)
 
     # ---- file format ----------------------------------------------------
 

@@ -1,5 +1,5 @@
 """t-designs on small point sets: verification, parameter arithmetic,
-extension, automorphisms, and isomorph-free exhaustive enumeration.
+automorphisms, and isomorph-free exhaustive enumeration.
 
 Blocks are bitmasks over the point set (point i at bit i-1), and a
 design's canonical labeling is the one whose sorted-descending
@@ -25,7 +25,6 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 
-from .certs import FAIL, PASS, Certificate, ContradictionError
 from .hamming import check_length, ksubset_masks, points_to_mask
 from .symmetry import (
     GroupHandle,
@@ -136,13 +135,6 @@ def t_design_lambda(blocks, points: int, t: int) -> int | None:
     return lam
 
 
-def covered_by(a: int, b: int) -> bool:
-    """Whether every nonzero coordinate of a agrees with b: over the
-    binary alphabet this is containment of supports, which is why block
-    families over vertices and over supports define the same designs."""
-    return a & ~b == 0
-
-
 def lambda_i(t: int, m: int, k: int, lam, i: int) -> Fraction:
     """The derived index of the induced i-design: lam * C(m-i, t-i) / C(k-i, t-i).
 
@@ -156,48 +148,6 @@ def lambda_i(t: int, m: int, k: int, lam, i: int) -> Fraction:
 def block_count(t: int, m: int, k: int, lam) -> Fraction:
     """b = lam * C(m, t) / C(k, t), the i = 0 case of the index arithmetic."""
     return lambda_i(t, m, k, lam, 0)
-
-
-def fisher_check(design: Design) -> Certificate:
-    """b >= points for any 2-design with block size below the point count."""
-    if design.strength < 2:
-        raise ValueError("the block-count bound applies to 2-designs")
-    if design.block_size >= design.points:
-        raise ValueError("the bound requires block size below the point count")
-    b = len(design.blocks)
-    witness = {"blocks": b, "points": design.points}
-    if b >= design.points:
-        return Certificate(
-            "the design has at least as many blocks as points",
-            "designs/block-count-bound",
-            witness,
-            PASS,
-        )
-    return Certificate(
-        "the design has fewer blocks than points",
-        "designs/block-count-bound",
-        witness,
-        FAIL,
-    )
-
-
-def extend_design(design: Design) -> Design:
-    """Extend a symmetric 2-design by a new point: each block gains the
-    new point, and each block's complement (in the old point set) joins.
-
-    The output is re-verified as a design of strength 3; failure would
-    contradict the construction and raises ContradictionError.
-    """
-    if design.strength != 2 or len(design.blocks) != design.points:
-        raise ValueError("extension applies to symmetric 2-designs")
-    new_point = 1 << design.points
-    full = (1 << design.points) - 1
-    blocks = [b | new_point for b in design.blocks]
-    blocks += [full ^ b for b in design.blocks]
-    try:
-        return Design.verified(blocks, design.points + 1, 3)
-    except ValueError as exc:
-        raise ContradictionError(f"extension failed verification: {exc}") from None
 
 
 def design_automorphisms(design: Design, element_budget: int = 10**6) -> GroupHandle:

@@ -16,8 +16,7 @@ from typing import Sequence
 
 from .certs import ContradictionError
 from .codes import Code
-from .hamming import Vertex
-from .symmetry import GraphAutomorphism, permute_mask
+from .symmetry import GraphAutomorphism
 
 _PALEY_PRIME = 11
 
@@ -101,23 +100,24 @@ def paley_hadamard_12() -> HadamardMatrix:
     return HadamardMatrix(m, tuple(normalized))
 
 
-def kappa(vector: Sequence[int]) -> Vertex:
-    """The componentwise bijection -1 -> 1, +1 -> 0 into H(m, 2)."""
+def kappa(vector: Sequence[int]) -> int:
+    """The componentwise bijection -1 -> 1, +1 -> 0 into H(m, 2), as the
+    word's bitmask."""
     bits = 0
     for i, v in enumerate(vector):
         if v == -1:
             bits |= 1 << i
         elif v != 1:
             raise ValueError(f"entries must be +1 or -1, got {v!r}")
-    return Vertex(bits, len(vector))
+    return bits
 
 
 def code_of(matrix: HadamardMatrix) -> Code:
     """The code of all kappa images of rows of H and -H: an (m, 2m, m/2) code."""
     words = []
     for row in matrix.rows:
-        words.append(kappa(row).bits)
-        words.append(kappa([-v for v in row]).bits)
+        words.append(kappa(row))
+        words.append(kappa([-v for v in row]))
     return Code(matrix.order, words)
 
 
@@ -147,10 +147,6 @@ class Monomial:
     def identity(cls, m: int) -> "Monomial":
         return cls(tuple([1] * m), tuple(range(m)))
 
-    @classmethod
-    def negative_identity(cls, m: int) -> "Monomial":
-        return cls(tuple([-1] * m), tuple(range(m)))
-
     def compose(self, other: "Monomial") -> "Monomial":
         """Matrix product self * other (self applied first to row vectors)."""
         signs = tuple(s * other.signs[p] for s, p in zip(self.signs, self.perm))
@@ -171,12 +167,6 @@ class Monomial:
         for i in range(m):
             rows[i][self.perm[i]] = self.signs[i]
         return tuple(tuple(r) for r in rows)
-
-    def apply_row(self, vector: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * self.order
-        for i, v in enumerate(vector):
-            out[self.perm[i]] = v * self.signs[i]
-        return tuple(out)
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[int]]) -> "Monomial":
@@ -267,9 +257,3 @@ def transfer_from_code_automorphism(
     if not is_matrix_automorphism(p, u, h):
         raise ContradictionError("transfer verification failed: P H U != H")
     return MatrixAutomorphism(p, u)
-
-
-def apply_code_map(u: Monomial, code: Code) -> Code:
-    """The code image under the graph automorphism associated with u."""
-    x = theta(u)
-    return Code(code.length, (permute_mask(x.perm, w ^ x.flips) for w in code.words))

@@ -1,4 +1,4 @@
-"""Geometry of the binary Hamming graph H(m, 2) on integer bitmasks.
+"""Words of the binary Hamming graph H(m, 2) as integer bitmasks.
 
 A binary word of length m is stored as an integer with coordinate i
 (1-based) at bit i-1, so Hamming distance is one XOR plus a popcount and
@@ -9,7 +9,6 @@ here only need m = 11 and 12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 MAX_LENGTH = 24
@@ -22,61 +21,6 @@ class LengthError(ValueError):
 def check_length(m: int) -> None:
     if not 1 <= m <= MAX_LENGTH:
         raise ValueError(f"word length must be in 1..{MAX_LENGTH}, got {m}")
-
-
-@dataclass(frozen=True, order=True)
-class Vertex:
-    """A vertex of H(m, 2): bitmask plus explicit length."""
-
-    bits: int
-    length: int
-
-    def __post_init__(self) -> None:
-        check_length(self.length)
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError(
-                f"bitmask {self.bits:#x} out of range for length {self.length}"
-            )
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __str__(self) -> str:
-        return format_mask(self.bits, self.length)
-
-
-def _check_same_length(a: Vertex, b: Vertex) -> None:
-    if a.length != b.length:
-        raise LengthError(f"length mismatch: {a.length} vs {b.length}")
-
-
-def dist(a: Vertex, b: Vertex) -> int:
-    """Hamming distance: the number of coordinates where a and b differ."""
-    _check_same_length(a, b)
-    return (a.bits ^ b.bits).bit_count()
-
-
-def support(a: Vertex) -> frozenset[int]:
-    """The set of (1-based) coordinates where a is nonzero."""
-    return frozenset(i + 1 for i in range(a.length) if (a.bits >> i) & 1)
-
-
-def complement(a: Vertex) -> Vertex:
-    """Flip every coordinate.  An involution at distance m from a."""
-    return Vertex(a.bits ^ ((1 << a.length) - 1), a.length)
-
-
-def sphere(center: Vertex, k: int) -> Iterator[Vertex]:
-    """All vertices at distance exactly k from center.
-
-    Yields each of the comb(m, k) vertices once, ordered by ascending
-    XOR offset so golden tests see a fixed sequence.
-    """
-    if not 0 <= k <= center.length:
-        raise ValueError(f"radius {k} out of range 0..{center.length}")
-    for offset in ksubset_masks(center.length, k):
-        yield Vertex(center.bits ^ offset, center.length)
 
 
 def ksubset_masks(m: int, k: int) -> Iterator[int]:
@@ -120,8 +64,3 @@ def parse_mask(text: str) -> tuple[int, int]:
     if invalid:
         raise ValueError(f"invalid word character {invalid[0]!r} in {text!r}")
     return int(text[::-1], 2), m
-
-
-def parse_vertex(text: str) -> Vertex:
-    mask, m = parse_mask(text)
-    return Vertex(mask, m)

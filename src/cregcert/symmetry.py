@@ -6,9 +6,9 @@ with S_m).  This module provides the group arithmetic, stabilizer
 chains (deterministic Schreier–Sims: exact order and membership, with
 an element budget on the order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
-pruning, point stabilizers by Schreier's lemma, full code automorphism
-groups, projections onto coordinate subsets, and code equivalence
-searches.  Every group is held as generators and a stabilizer chain.
+pruning, vertex stabilizers by Schreier's lemma, full code automorphism
+groups, and code equivalence searches.  Every group is held as
+generators and a stabilizer chain.
 
 Composition convention, fixed globally: ``compose(x, y)`` means "apply
 x first, then y", matching right-action exponent notation.
@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .certs import ResourceBudgetError
 from .codes import Code
-from .hamming import LengthError, Vertex, format_mask, ksubset_masks, parse_mask
+from .hamming import LengthError, format_mask, ksubset_masks, parse_mask
 
 DEFAULT_ELEMENT_BUDGET = 10**6
 # the most generators a replayed group witness may list; the producer
@@ -72,12 +72,6 @@ def permute_mask_inv(perm: Sequence[int], mask: int) -> int:
 
 def apply_mask(x: GraphAutomorphism, mask: int) -> int:
     return permute_mask(x.perm, mask ^ x.flips)
-
-
-def apply(x: GraphAutomorphism, a: Vertex) -> Vertex:
-    if x.degree != a.length:
-        raise LengthError(f"automorphism degree {x.degree} vs vertex length {a.length}")
-    return Vertex(apply_mask(x, a.bits), a.length)
 
 
 def compose(x: GraphAutomorphism, y: GraphAutomorphism) -> GraphAutomorphism:
@@ -615,28 +609,28 @@ def code_automorphism_group(
     return GroupHandle(m, generators, closed.chain)
 
 
-def _point_stabilizer(group: GroupHandle, point, act) -> GroupHandle:
-    """The subgroup of a closed group fixing ``point`` under ``act``, by
-    Schreier's lemma.
+def vertex_stabilizer(group: GroupHandle, mask: int) -> GroupHandle:
+    """The subgroup of a closed group fixing one vertex, by Schreier's
+    lemma.
 
-    With u_p carrying ``point`` to p along the orbit, the Schreier
-    generators u_p * g * u_(p^g)^-1 generate the stabilizer.  They are
+    With u_v carrying ``mask`` to v along the orbit, the Schreier
+    generators u_v * g * u_(v^g)^-1 generate the stabilizer.  They are
     sifted into a chain and the ones it accepts are kept; none is formed
     once the chain reaches |G| / |orbit|.
     """
     m, gens = group.length, group.generators
-    orbit, transversal = [point], {point: identity(m)}
-    for p in orbit:
+    orbit, transversal = [mask], {mask: identity(m)}
+    for v in orbit:
         for g in gens:
-            q = act(g, p)
-            if q not in transversal:
-                transversal[q] = compose(transversal[p], g)
-                orbit.append(q)
+            w = apply_mask(g, v)
+            if w not in transversal:
+                transversal[w] = compose(transversal[v], g)
+                orbit.append(w)
     target = group.order // len(orbit)
     chain = StabilizerChain(m)
     schreier = (
-        compose(compose(u, g), inverse(transversal[act(g, p)]))
-        for p, u in transversal.items()
+        compose(compose(u, g), inverse(transversal[apply_mask(g, v)]))
+        for v, u in transversal.items()
         for g in gens
         if chain.order < target
     )
@@ -644,52 +638,6 @@ def _point_stabilizer(group: GroupHandle, point, act) -> GroupHandle:
     if chain.order != target:
         raise AssertionError("the Schreier generators do not reach |G| / |orbit|")
     return GroupHandle(m, tuple(kept), chain)
-
-
-def vertex_stabilizer(group: GroupHandle, mask: int) -> GroupHandle:
-    """The subgroup of a closed group fixing one vertex."""
-    return _point_stabilizer(group, mask, apply_mask)
-
-
-def coordinate_stabilizer(group: GroupHandle, coordinate: int) -> GroupHandle:
-    """The subgroup of a closed group whose permutation part fixes the
-    given (1-based) coordinate."""
-    return _point_stabilizer(group, coordinate - 1, lambda x, c: x.perm[c])
-
-
-def project_group(group: GroupHandle, coords) -> GroupHandle:
-    """Induced action on the coordinates in ``coords`` (1-based), closed.
-
-    Every generator must stabilize the coordinate set; elements acting
-    trivially on it map to the identity.
-    """
-    m = group.length
-    js = sorted({c - 1 for c in coords})
-    if not js or js[0] < 0 or js[-1] >= m:
-        raise ValueError(f"coordinate set must be a nonempty subset of 1..{m}")
-    index = {j: a for a, j in enumerate(js)}
-    jset = set(js)
-
-    def chi(x: GraphAutomorphism) -> GraphAutomorphism:
-        for j in js:
-            if x.perm[j] not in jset:
-                raise ValueError(
-                    f"generator moves coordinate {j + 1} outside the set: {x}"
-                )
-        perm = tuple(index[x.perm[j]] for j in js)
-        flips = 0
-        for a, j in enumerate(js):
-            if (x.flips >> j) & 1:
-                flips |= 1 << a
-        return GraphAutomorphism(flips, perm)
-
-    return closure((chi(x) for x in group.generators), len(js))
-
-
-def projection_is_injective(group: GroupHandle, coords) -> bool:
-    """Whether the induced action of a closed group is faithful: the
-    projected group has the same order."""
-    return project_group(group, coords).order == group.order
 
 
 def find_equivalence(

@@ -205,15 +205,38 @@ def test_replay_fails_malformed_input(report11, edit, failed):
     assert len(results) == len(broken.get("steps", [None]))
 
 
-def test_replay_rejects_generators_of_another_degree(report11):
-    tampered = json.loads(report_json(report11))
-    tampered["parameters"]["length"] = 12
+def _group_witness(report):
+    anchor = "theorem/automorphism-group"
+    return next(s["witness"] for s in report["steps"] if s["anchor"] == anchor)
+
+
+def test_replay_rejects_generators_of_another_degree(report12, report11):
+    # the length-11 group's generators in the length-12 report
+    tampered = json.loads(report_json(report12))
+    _group_witness(tampered).update(_group_witness(report11))
     results = verify_report(tampered)
     _, ok, detail = next(
         r for r in results if r[0] == "theorem/equivalence-invariance"
     )
     assert not ok
     assert "degree 11 vs code length 12" in detail
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("length", True), ("length", 12.0), ("length", "12"), ("min_distance", 5)],
+)
+def test_replay_refuses_unsupported_parameters_before_reading(report12, field, value):
+    # (12, 5) has no chain; a bool or a float is no length, even where it
+    # compares equal to a supported one
+    tampered = json.loads(report_json(report12))
+    tampered["parameters"][field] = value
+    results = verify_report(tampered)
+    assert [a for a, _, _ in results] == [s["anchor"] for s in report12["steps"]]
+    assert not any(ok for _, ok, _ in results)
+    (detail,) = {detail for _, _, detail in results}
+    assert detail.startswith("no classification chain for parameters (")
+    assert repr(value) in detail
 
 
 def test_failed_run_report_still_replays():

@@ -243,6 +243,39 @@ def test_analyze_refuses_a_one_word_scan_over_budget(workdir):
     assert "scan budget" in result.stderr
 
 
+# replays a report with one parameter replaced, printing the results as JSON
+_REPLAY_EDITED = """
+import json, sys
+from cregcert.classify import verify_report
+report = json.loads(open(sys.argv[1]).read())
+report["parameters"][sys.argv[2]] = int(sys.argv[3])
+print(json.dumps(verify_report(report)))
+"""
+
+
+@pytest.mark.parametrize("field", ["length", "min_distance"])
+def test_replay_refuses_huge_parameters_before_reading(
+    workdir, classify11_report, field
+):
+    # a length of 10^9 sent the design reader over 10^9 points, and a
+    # min_distance of 10^9 sent the block count into the same range; each
+    # replay must fail every step at once, under a 1 GiB address-space cap
+    path = workdir / "report11.json"
+    result = subprocess.run(
+        [sys.executable, "-c", _REPLAY_EDITED, str(path), field, str(10**9)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=20,
+    )
+    assert result.returncode == 0, result.stderr
+    results = json.loads(result.stdout)
+    assert len(results) == len(classify11_report["steps"])
+    assert not any(ok for _, ok, _ in results)
+    (detail,) = {detail for _, _, detail in results}
+    assert detail.startswith("no classification chain for parameters")
+
+
 def test_aut_small_code(workdir):
     path = workdir / "rep3.txt"
     path.write_text("m=3\n000\n111\n")

@@ -19,6 +19,19 @@ def repetition(m):
     return Code(m, [0, (1 << m) - 1])
 
 
+def extend_parity(code, p):
+    """Insert a parity coordinate at p (1-based), so every word has even
+    weight: the inverse of ``puncture(p)`` on an even-weight code."""
+    low = (1 << (p - 1)) - 1
+    return Code(
+        code.length + 1,
+        (
+            (w & low) | (w & ~low) << 1 | (w.bit_count() & 1) << (p - 1)
+            for w in code.words
+        ),
+    )
+
+
 def test_min_distance_examples(code12, code11):
     assert code12.min_distance == 6
     assert code11.min_distance == 5
@@ -82,40 +95,32 @@ def test_puncture(code12):
 
 
 def test_puncture_collision_reporting(code12):
-    # minimum distance above one forbids collisions for the codes here
-    assert not any(code12.puncture_collides(p) for p in range(1, 13))
+    # minimum distance above one forbids collisions for the codes here;
+    # merged words leave a smaller punctured code
+    assert all(code12.puncture(p).size == code12.size for p in range(1, 13))
     colliding = Code(3, [0b000, 0b001])
-    assert colliding.puncture_collides(1)
-    assert not colliding.puncture_collides(2)
-
-
-def test_project(code12):
-    assert code12.project(range(1, 13)) == code12
-    assert code12.project(range(2, 13)) == code12.puncture(1)
-    assert repetition(12).project([2, 5, 9]) == repetition(3)
-    with pytest.raises(ValueError):
-        code12.project([])
+    assert colliding.puncture(1).words == (0b00,)
+    assert colliding.puncture(2).size == 2
 
 
 def test_extend_parity(code12, code11):
-    assert code11.extend_parity("front") == code12
+    # code11 is code12 punctured at 1: a parity coordinate there restores it
+    assert extend_parity(code11, 1) == code12
     even = Code(4, [0b0000, 0b0011, 0b1111])
-    extended = even.extend_parity("back")
-    assert extended.words == (0b00000, 0b00011, 0b01111)
-    assert repetition(11).extend_parity("front") == repetition(12)
-    assert all(w.bit_count() % 2 == 0 for w in code11.extend_parity("back").words)
-    with pytest.raises(ValueError):
-        code11.extend_parity("middle")
+    assert extend_parity(even, 5).words == (0b00000, 0b00011, 0b01111)
+    assert extend_parity(repetition(11), 1) == repetition(12)
+    assert all(w.bit_count() % 2 == 0 for w in extend_parity(code11, 12).words)
 
 
 def test_extend_parity_min_distance(code11):
     # an odd minimum distance always gains one under extension
-    assert code11.extend_parity("back").min_distance == 6
+    assert extend_parity(code11, 12).min_distance == 6
 
 
 def test_puncture_extend_roundtrip(code12):
     # all words even weight: extending the punctured code is the identity
-    assert code12.puncture(12).extend_parity("back") == code12
+    for p in range(1, 13):
+        assert extend_parity(code12.puncture(p), p) == code12
 
 
 def test_antipodal(code12, code11):

@@ -6,7 +6,6 @@ from cregcert.certs import ContradictionError
 from cregcert.hadamard import (
     HadamardMatrix,
     Monomial,
-    apply_code_map,
     code_of,
     is_matrix_automorphism,
     kappa,
@@ -14,8 +13,8 @@ from cregcert.hadamard import (
     theta_inverse,
     transfer_from_code_automorphism,
 )
-from cregcert.hamming import Vertex, complement
-from cregcert.symmetry import GraphAutomorphism, apply, compose, identity
+from cregcert.codes import Code
+from cregcert.symmetry import GraphAutomorphism, apply_mask, compose, identity
 
 GOLDEN_H12 = """order=12
 ++++++++++++
@@ -38,6 +37,14 @@ def random_monomial(rng, m):
     rng.shuffle(perm)
     signs = tuple(rng.choice((1, -1)) for _ in range(m))
     return Monomial(signs, tuple(perm))
+
+
+def row_action(u, vector):
+    """The row vector v U, from the entries of U: (vU)_{perm[i]} = v_i * signs[i]."""
+    out = [0] * u.order
+    for i, v in enumerate(vector):
+        out[u.perm[i]] = v * u.signs[i]
+    return out
 
 
 def test_orthogonality(hadamard12):
@@ -90,17 +97,18 @@ def test_matrix_validation():
 
 
 def test_kappa():
-    assert kappa([1, 1, 1]) == Vertex(0, 3)
+    assert kappa([1, 1, 1]) == 0
+    assert kappa([-1, 1, -1, -1]) == 0b1101  # coordinate i at bit i-1
     rng = random.Random(11)
     for _ in range(100):
         v = [rng.choice((1, -1)) for _ in range(10)]
-        assert kappa([-a for a in v]) == complement(kappa(v))
+        assert kappa([-a for a in v]) == kappa(v) ^ ((1 << 10) - 1)
     with pytest.raises(ValueError):
         kappa([1, 0, -1])
 
 
 def test_kappa_of_second_row_has_weight_six(hadamard12):
-    assert kappa(hadamard12.rows[1]).weight == 6
+    assert kappa(hadamard12.rows[1]).bit_count() == 6
 
 
 def test_code_of(hadamard12, code12):
@@ -113,7 +121,7 @@ def test_code_rows_pairwise_distance(hadamard12):
     images = [kappa(r) for r in hadamard12.rows]
     for i in range(12):
         for j in range(i + 1, 12):
-            assert (images[i].bits ^ images[j].bits).bit_count() == 6
+            assert (images[i] ^ images[j]).bit_count() == 6
 
 
 def test_theta_identity():
@@ -135,7 +143,7 @@ def test_action_identification():
         m = rng.randint(2, 10)
         u = random_monomial(rng, m)
         v = [rng.choice((1, -1)) for _ in range(m)]
-        assert kappa(u.apply_row(v)) == apply(theta(u), kappa(v))
+        assert kappa(row_action(u, v)) == apply_mask(theta(u), kappa(v))
 
 
 def test_theta_inverse_roundtrip():
@@ -147,7 +155,7 @@ def test_theta_inverse_roundtrip():
 
 def test_is_matrix_automorphism_basics(hadamard12):
     eye = Monomial.identity(12)
-    neg = Monomial.negative_identity(12)
+    neg = Monomial((-1,) * 12, tuple(range(12)))
     assert is_matrix_automorphism(eye, eye, hadamard12)
     assert is_matrix_automorphism(neg, neg, hadamard12)
 
@@ -194,9 +202,10 @@ def test_equivalent_matrices_give_equivalent_codes(hadamard12, code12):
         rows = []
         for i in range(12):
             scaled = [p.signs[i] * v for v in hadamard12.rows[p.perm[i]]]
-            rows.append(u.apply_row(scaled))
+            rows.append(row_action(u, scaled))
         transformed = HadamardMatrix(12, tuple(tuple(r) for r in rows))
-        assert code_of(transformed) == apply_code_map(u, code12)
+        image = Code(12, (apply_mask(theta(u), w) for w in code12.words))
+        assert code_of(transformed) == image
 
 
 def test_monomial_factorization_unique():

@@ -1,98 +1,108 @@
+"""Words as int bitmasks: the coordinate convention, the text form,
+k-subsets, and the word metric as the scan of a one-word code reads it
+(its oracle is XOR plus a popcount)."""
+
 import random
 from math import comb
 
 import pytest
 
+from cregcert.codes import Code
 from cregcert.hamming import (
     LengthError,
-    Vertex,
-    complement,
-    dist,
     format_mask,
     ksubset_masks,
     parse_mask,
-    parse_vertex,
-    sphere,
-    support,
+    points_to_mask,
 )
+from cregcert.symmetry import find_equivalence
+
+
+def dist(a: int, b: int, m: int) -> int:
+    """d(a, b) read from the scan of the one-word code {a}."""
+    return Code(m, [a]).distance_to(b)
+
+
+def sphere(center: int, k: int, m: int) -> list[int]:
+    """The words at distance k from center: center XOR each k-subset."""
+    return [center ^ offset for offset in ksubset_masks(m, k)]
 
 
 def test_dist_identity():
-    a = Vertex(0b1011, 4)
-    assert dist(a, a) == 0
+    assert dist(0b1011, 0b1011, 4) == 0
 
 
 def test_dist_full_complement_at_12():
-    zero = parse_vertex("000000000000")
-    ones = parse_vertex("111111111111")
-    assert dist(zero, ones) == 12
+    zero, m = parse_mask("000000000000")
+    ones, _ = parse_mask("111111111111")
+    assert dist(zero, ones, m) == 12
 
 
 def test_dist_length_mismatch():
     with pytest.raises(LengthError):
-        dist(Vertex(0, 4), Vertex(0, 5))
+        find_equivalence(Code(4, [0]), Code(5, [0]))
 
 
 def test_support_empty_and_full():
-    assert support(Vertex(0, 9)) == frozenset()
-    assert support(Vertex((1 << 11) - 1, 11)) == frozenset(range(1, 12))
+    assert points_to_mask([]) == 0
+    assert points_to_mask(range(1, 12)) == (1 << 11) - 1
 
 
 def test_support_bit_convention():
     # coordinate 1 is the leftmost text character, stored at bit 0
-    v = parse_vertex("001011")
-    assert v.bits == 0b110100
-    assert support(v) == frozenset({3, 5, 6})
+    assert parse_mask("001011") == (0b110100, 6)
+    assert points_to_mask({3, 5, 6}) == 0b110100
+    assert format_mask(0b110100, 6) == "001011"
 
 
 def test_complement_involution_and_distance():
     rng = random.Random(7)
     for _ in range(200):
-        m = rng.randint(1, 16)
-        v = Vertex(rng.randrange(1 << m), m)
-        assert complement(complement(v)) == v
-        assert dist(v, complement(v)) == m
-    assert complement(Vertex(0, 6)).bits == 0b111111
+        m = rng.randint(1, 12)
+        full = (1 << m) - 1
+        v = rng.randrange(1 << m)
+        assert full ^ (full ^ v) == v
+        assert dist(v, full ^ v, m) == m
 
 
 def test_complement_is_isometry():
     rng = random.Random(8)
-    for _ in range(300):
-        m = rng.randint(2, 14)
-        a = Vertex(rng.randrange(1 << m), m)
-        b = Vertex(rng.randrange(1 << m), m)
-        assert dist(complement(a), complement(b)) == dist(a, b)
+    for _ in range(30):
+        m = rng.randint(2, 12)
+        full = (1 << m) - 1
+        code = Code(m, (rng.randrange(1 << m) for _ in range(rng.randint(1, 5))))
+        image = Code(m, (full ^ w for w in code.words))
+        assert all(
+            image.distance_to(full ^ v) == code.distance_to(v) for v in range(1 << m)
+        )
 
 
 def test_sphere_radius_zero():
-    center = Vertex(0b0101, 4)
-    assert list(sphere(center, 0)) == [center]
+    assert sphere(0b0101, 0, 4) == [0b0101]
 
 
 def test_sphere_sizes_and_partition():
-    center = Vertex(0b10010110, 12)
-    assert sum(1 for _ in sphere(center, 4)) == comb(12, 4) == 495
+    assert len(sphere(0b10010110, 4, 12)) == comb(12, 4) == 495
     total = 0
     seen = set()
-    center11 = Vertex(0b1011, 11)
+    center = 0b1011
     for k in range(12):
-        pts = list(sphere(center11, k))
-        assert all(dist(p, center11) == k for p in pts)
-        seen.update(p.bits for p in pts)
+        pts = sphere(center, k, 11)
+        assert all(dist(center, p, 11) == k for p in pts)
+        seen.update(pts)
         total += len(pts)
     assert total == 2048
     assert len(seen) == 2048
 
 
 def test_sphere_deterministic_order():
-    center = Vertex(0b001, 3)
-    offsets = [v.bits ^ center.bits for v in sphere(center, 2)]
+    offsets = [v ^ 0b001 for v in sphere(0b001, 2, 3)]
     assert offsets == sorted(offsets) == [0b011, 0b101, 0b110]
 
 
 def test_sphere_radius_out_of_range():
     with pytest.raises(ValueError):
-        list(sphere(Vertex(0, 4), 5))
+        sphere(0, 5, 4)
 
 
 def test_ksubset_masks_ascending():
@@ -103,26 +113,31 @@ def test_ksubset_masks_ascending():
 
 
 def test_dist_equals_xor_weight():
+    # the scan against the text form, compared character by character
     rng = random.Random(9)
-    for _ in range(500):
-        m = rng.randint(1, 20)
-        a, b = rng.randrange(1 << m), rng.randrange(1 << m)
-        assert dist(Vertex(a, m), Vertex(b, m)) == (a ^ b).bit_count()
+    for _ in range(50):
+        m = rng.randint(1, 12)
+        a = rng.randrange(1 << m)
+        text = format_mask(a, m)
+        scan = Code(m, [a])
+        for b in range(1 << m):
+            differing = sum(x != y for x, y in zip(text, format_mask(b, m)))
+            assert scan.distance_to(b) == differing == (a ^ b).bit_count()
 
 
 def test_triangle_inequality():
     rng = random.Random(10)
-    for _ in range(300):
+    for _ in range(100):
         m = rng.randint(2, 12)
-        a, b, c = (Vertex(rng.randrange(1 << m), m) for _ in range(3))
-        assert dist(a, c) <= dist(a, b) + dist(b, c)
+        a, b, c = (rng.randrange(1 << m) for _ in range(3))
+        assert dist(a, c, m) <= dist(a, b, m) + dist(b, c, m)
 
 
 def test_text_roundtrip():
-    v = parse_vertex("10110001110")
-    assert format_mask(v.bits, v.length) == "10110001110"
+    mask, m = parse_mask("10110001110")
+    assert format_mask(mask, m) == "10110001110"
     with pytest.raises(ValueError):
-        parse_vertex("10x1")
+        parse_mask("10x1")
 
 
 @pytest.mark.parametrize(
@@ -156,8 +171,8 @@ def test_parse_mask_inverts_format_mask():
 
 def test_vertex_validation():
     with pytest.raises(ValueError):
-        Vertex(16, 4)
+        Code(4, [16])
     with pytest.raises(ValueError):
-        Vertex(0, 0)
+        Code(0, [0])
     with pytest.raises(ValueError):
-        Vertex(0, 25)
+        Code(25, [0])

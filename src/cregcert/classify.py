@@ -40,6 +40,7 @@ from .regularity import (
 )
 from .spectral import macwilliams_transform
 from .symmetry import (
+    DEFAULT_ELEMENT_BUDGET,
     GENERATOR_BUDGET,
     GraphAutomorphism,
     GroupHandle,
@@ -131,7 +132,9 @@ class _Inputs:
     an output that was never set fails the step that reads it.
     """
 
-    def __init__(self, m, delta, size_bound=None, element_budget: int = 10**6):
+    def __init__(
+        self, m, delta, size_bound=None, element_budget: int = DEFAULT_ELEMENT_BUDGET
+    ):
         self.m, self.delta, self.size_bound = m, delta, size_bound
         self.element_budget = element_budget
         self.rejected = ""  # why the last witnessed output was refused
@@ -487,7 +490,7 @@ def _search_design(p: _Inputs) -> None:
 
 
 def _search_sigma(p: _Inputs) -> None:
-    x = find_equivalence(p.candidate, p.reference, perms_only=True)
+    x = find_equivalence(p.candidate, p.reference)
     p.sigma = None if x is None else tuple(q + 1 for q in x.perm)
 
 
@@ -586,7 +589,7 @@ def classify(m: int, delta: int, size_bound: int | None = None) -> Classificatio
 
 
 def certify_theorem(
-    m: int, delta: int, element_budget: int = 10**6
+    m: int, delta: int, element_budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> list[Certificate]:
     """Certify that the reference code is completely regular and
     completely transitive, with the exact order of its symmetry group
@@ -718,7 +721,7 @@ def _chain_faults(report: dict, steps: list, anchors: list, m: int) -> list[list
     return faults
 
 
-def verify_report(report: dict, element_budget: int = 10**6):
+def verify_report(report: dict, element_budget: int = DEFAULT_ELEMENT_BUDGET):
     """Replay a report: rebuild each certificate from the report's
     parameters and its witnessed search outputs, then compare.
 

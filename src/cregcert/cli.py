@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
+from itertools import islice
 
 from .certs import SCHEMA, fraction_str
 from .classify import (
@@ -29,6 +29,7 @@ from .regularity import certify_completely_regular, certify_completely_transitiv
 from .spectral import certify_uniformly_packed, external_distance, macwilliams_transform
 from .symmetry import (
     DEFAULT_ELEMENT_BUDGET,
+    GENERATOR_BUDGET,
     GroupHandle,
     ResourceBudgetError,
     code_automorphism_group,
@@ -98,7 +99,7 @@ def _analysis_payload(code: Code) -> dict:
         "covering_radius": code.covering_radius,
         "distance_distribution": [fraction_str(v) for v in dist],
         "macwilliams_transform": [fraction_str(v) for v in aprime],
-        "external_distance": external_distance(code, aprime),
+        "external_distance": external_distance(aprime),
         "uniformly_packed": packed.satisfied,
         "packing_weights": [fraction_str(v) for v in packed.lambdas]
         if packed.lambdas
@@ -149,7 +150,7 @@ def cmd_analyze(args) -> int:
         )
     _write_output("\n".join(lines) + "\n", args.out)
     if args.report:
-        _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.report)
+        _write_output(report_json(payload), args.report)
     return EXIT_OK
 
 
@@ -169,12 +170,15 @@ def cmd_certify(args) -> int:
         certs = [cert]
     elif args.which == "ct":
         if args.generators:
+            # one past the budget, so an oversized file is refused unparsed
             with open(args.generators, "r", encoding="utf-8") as fh:
-                gens = tuple(
-                    parse_automorphism(ln)
-                    for ln in fh.read().splitlines()
-                    if ln.strip()
+                lines = list(islice(filter(str.strip, fh), GENERATOR_BUDGET + 1))
+            if len(lines) > GENERATOR_BUDGET:
+                raise ResourceBudgetError(
+                    f"the file lists more than the budget of {GENERATOR_BUDGET} "
+                    "generators"
                 )
+            gens = tuple(parse_automorphism(ln) for ln in lines)
             group = GroupHandle(code.length, gens)
         else:
             group = code_automorphism_group(code, args.element_budget)
@@ -186,10 +190,9 @@ def cmd_certify(args) -> int:
         ]
         certs = [cert]
     else:  # theorem
-        pairs = {(12, 6), (11, 5)}
         key = (code.length, code.min_distance)
-        if key not in pairs:
-            raise ValueError(f"theorem certification supports {sorted(pairs)}")
+        if key not in SUPPORTED:
+            raise ValueError(f"theorem certification supports {sorted(SUPPORTED)}")
         certs = certify_theorem(*key, element_budget=args.element_budget)
         lines = [f"{c.anchor}: {c.verdict}" for c in certs]
     _write_output("\n".join(lines) + "\n", args.out)
@@ -199,16 +202,11 @@ def cmd_certify(args) -> int:
             "kind": f"certify-{args.which}",
             "steps": [c.to_dict() for c in certs],
         }
-        _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.report)
+        _write_output(report_json(payload), args.report)
     return EXIT_OK if all(c.passed for c in certs) else EXIT_FAIL
 
 
 def cmd_classify(args) -> int:
-    if (args.length, args.min_distance) not in SUPPORTED:
-        raise ValueError(
-            f"classification supports {sorted(SUPPORTED)}, "
-            f"got ({args.length}, {args.min_distance})"
-        )
     started = time.monotonic()
     run = classify(args.length, args.min_distance, args.size_bound)
     theorem = (

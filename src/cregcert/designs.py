@@ -13,19 +13,19 @@ prefixes; a complete solution is kept only when proved canonical, so
 one representative per class survives.  For
 t >= 3 a search opens with the star of the top point, one per derived
 (t-1)-design class (Kaski & Östergård, *Classification Algorithms for
-Codes and Designs*, 2006).
+Codes and Designs*, 2006).  The search's three budgets are the module
+constants ``BLOCK_BUDGET``, ``TABLE_BUDGET`` and ``CANON_NODE_BUDGET``.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .hamming import check_length, ksubset_masks, points_to_mask
+from .hamming import check_length, ksubset_masks
 from .symmetry import (
     GroupHandle,
     ResourceBudgetError,
@@ -80,25 +80,6 @@ class Design:
             lines.append(" ".join(str(p) for p in pts))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Design":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty design file")
-        header = dict(tok.split("=") for tok in lines[0].split())
-        missing = [key for key in ("points", "k", "t", "lambda") if key not in header]
-        if missing:
-            raise ValueError(f"design header lacks {', '.join(missing)}")
-        points = int(header["points"])
-        strength = int(header["t"])
-        blocks = [points_to_mask(int(tok) for tok in ln.split()) for ln in lines[1:]]
-        design = cls.verified(blocks, points, strength)
-        if design.block_size != int(header["k"]) or design.lam != int(
-            header["lambda"]
-        ):
-            raise ValueError("header does not match the verified parameters")
-        return design
-
 
 def check_t_design(blocks, points: int, t: int):
     """Return (lam, None) if every t-subset is covered the same number of
@@ -150,9 +131,9 @@ def block_count(t: int, m: int, k: int, lam) -> Fraction:
     return lambda_i(t, m, k, lam, 0)
 
 
-def design_automorphisms(design: Design, element_budget: int = 10**6) -> GroupHandle:
+def design_automorphisms(design: Design) -> GroupHandle:
     """The permutation group preserving the block family setwise."""
-    return setwise_stabilizer_perms(design.blocks, design.points, element_budget)
+    return setwise_stabilizer_perms(design.blocks, design.points)
 
 
 # ---------------------------------------------------------------------------
@@ -276,35 +257,16 @@ def blocks_are_canonical(
 # ---------------------------------------------------------------------------
 
 
-def _cache_by_value(search):
-    """``lru_cache`` keyed on the bound arguments with the defaults filled
-    in, so a call that spells a default out (as the derived search does)
-    shares its entry with one that leaves it out.  ``cache_info``,
-    ``cache_clear`` and ``__wrapped__`` (the uncached search) are kept."""
-    signature = inspect.signature(search)
-    cached = lru_cache(maxsize=None)(search)
-
-    @wraps(search)
-    def call(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
-
-    call.cache_info = cached.cache_info
-    call.cache_clear = cached.cache_clear
-    return call
+# the most blocks a searched design may have
+BLOCK_BUDGET = 64
+# the most entries the search tables may hold
+TABLE_BUDGET = 10**6
+# the nodes a canonicity test of a partial solution may visit (None: no limit)
+CANON_NODE_BUDGET = 100
 
 
-@_cache_by_value
-def enumerate_designs(
-    t: int,
-    m: int,
-    k: int,
-    lam: int,
-    block_budget: int = 64,
-    canon_node_budget: int | None = 100,
-    table_budget: int = 10**6,
-) -> tuple[Design, ...]:
+@lru_cache(maxsize=None)
+def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
     """All t-(m, k, lam) designs up to isomorphism, one canonical
     representative each (the greatest labeling of its class).
 
@@ -313,30 +275,33 @@ def enumerate_designs(
     2-(11,5,2) asks 499 canonicity questions, and 3-(12,6,2) 585 with
     its derived search (6,103 and 6,843 with canonicity tested first).
     The test only has to refute, since an undecided prefix is kept like
-    a proven one, so ``canon_node_budget`` (None: no limit) is sized for
-    refutations, not proofs; see ``blocks_are_canonical``.  Of the
-    budgets 20 to 30,000, 100 is the fastest summed over 31 parameter
-    sets, with canonicity tested first or last; smaller ones lose
-    refutations and keep more prefixes.
+    a proven one, so ``CANON_NODE_BUDGET`` is sized for refutations, not
+    proofs; see ``blocks_are_canonical``.  Of the budgets 20 to 30,000,
+    100 is the fastest summed over 31 parameter sets, with canonicity
+    tested first or last; smaller ones lose refutations and keep more
+    prefixes.
 
     For t >= 3 a sequence opens with the top point added to the blocks
     of one representative from ``enumerate_designs(t-1, m-1, k-1, lam)``,
-    called with the same three budgets; for t <= 2 the greatest block
-    opens (1-design stars measured slower there).
+    which shares its cache entry with a direct call; for t <= 2 the
+    greatest block opens (1-design stars measured slower there).
 
-    The budget bounds the tests of partial solutions only.  A complete
-    solution gets an exact test and is kept only when proved canonical,
-    so each class yields exactly its greatest labeling and no
+    The node budget bounds the tests of partial solutions only.  A
+    complete solution gets an exact test and is kept only when proved
+    canonical, so each class yields exactly its greatest labeling and no
     isomorphism pass is needed; an exact test of a design costs less
     than proving two designs non-isomorphic.
 
     Returns an empty tuple when the parameter arithmetic already rules
     the designs out (a fractional block count or derived index, or a
     derived index above the number of blocks through a subset).  Raises
-    ResourceBudgetError, before building them, when the search tables
-    (one coverage counter per point subset, and each candidate block's
-    subsets of size 1..t) would hold more than ``table_budget`` entries;
-    both budget checks run before the derived enumeration.
+    ResourceBudgetError when a design would have more than
+    ``BLOCK_BUDGET`` blocks or, before building them, when the search
+    tables (one coverage counter per point subset, and each candidate
+    block's subsets of size 1..t) would hold more than ``TABLE_BUDGET``
+    entries; both budget checks run before the derived enumeration.
+    The budgets are read at each uncached call; a cached result stays
+    as it was computed.
     """
     check_length(m)
     if not 0 < t <= k <= m:
@@ -347,15 +312,15 @@ def enumerate_designs(
     if b_exact.denominator != 1:
         return ()
     b = int(b_exact)
-    if b > block_budget:
+    if b > BLOCK_BUDGET:
         raise ResourceBudgetError(
-            f"{b} blocks exceed the enumeration block budget of {block_budget}"
+            f"{b} blocks exceed the enumeration block budget of {BLOCK_BUDGET}"
         )
     entries = (1 << m) + comb(m, k) * sum(comb(k, s) for s in range(1, t + 1))
-    if entries > table_budget:
+    if entries > TABLE_BUDGET:
         raise ResourceBudgetError(
             f"{entries} table entries exceed the enumeration table budget of "
-            f"{table_budget}"
+            f"{TABLE_BUDGET}"
         )
     # need[sub]: how many more blocks must cover the subset sub of size
     # 1..t (the derived index lambda_s, less the chosen blocks through it)
@@ -437,7 +402,7 @@ def enumerate_designs(
         # a one-block prefix is an opening, the greatest block
         if (
             len(chosen) == 1
-            or blocks_are_canonical(tuple(chosen), m, canon_node_budget) is not False
+            or blocks_are_canonical(tuple(chosen), m, CANON_NODE_BUDGET) is not False
         ):
             extend(start, *must)
 
@@ -465,9 +430,7 @@ def enumerate_designs(
         top = 1 << (m - 1)
         openings = [
             tuple(top | d for d in reversed(derived.blocks))
-            for derived in enumerate_designs(
-                t - 1, m - 1, k - 1, lam, block_budget, canon_node_budget, table_budget
-            )
+            for derived in enumerate_designs(t - 1, m - 1, k - 1, lam)
         ]
     for opening in openings:
         opened = [candidates.index(block) for block in opening]

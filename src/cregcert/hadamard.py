@@ -47,25 +47,6 @@ class HadamardMatrix:
             lines.append("".join("+" if v == 1 else "-" for v in row))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "HadamardMatrix":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("order="):
-            raise ValueError("expected header 'order=<int>'")
-        m = int(lines[0][6:])
-        rows = []
-        for ln in lines[1:]:
-            row = []
-            for ch in ln:
-                if ch == "+":
-                    row.append(1)
-                elif ch in "-−":
-                    row.append(-1)
-                else:
-                    raise ValueError(f"invalid sign character {ch!r}")
-            rows.append(tuple(row))
-        return cls(m, tuple(rows))
-
 
 def _quadratic_residues(p: int) -> frozenset[int]:
     return frozenset((x * x) % p for x in range(1, p))
@@ -142,16 +123,6 @@ class Monomial:
     @property
     def order(self) -> int:
         return len(self.signs)
-
-    @classmethod
-    def identity(cls, m: int) -> "Monomial":
-        return cls(tuple([1] * m), tuple(range(m)))
-
-    def compose(self, other: "Monomial") -> "Monomial":
-        """Matrix product self * other (self applied first to row vectors)."""
-        signs = tuple(s * other.signs[p] for s, p in zip(self.signs, self.perm))
-        perm = tuple(other.perm[p] for p in self.perm)
-        return Monomial(signs, perm)
 
     def inverse(self) -> "Monomial":
         inv_perm = [0] * self.order

@@ -52,11 +52,9 @@ def macwilliams_transform(a) -> tuple[Fraction, ...]:
     )
 
 
-def external_distance(code: Code, aprime=None) -> int:
-    """One less than the number of nonzero MacWilliams transform entries;
-    ``aprime`` is the code's transform when the caller already holds it."""
-    if aprime is None:
-        aprime = macwilliams_transform(code.distance_distribution)
+def external_distance(aprime) -> int:
+    """A code's external distance from its MacWilliams transform
+    ``aprime``: one less than the number of nonzero entries."""
     return sum(1 for v in aprime if v != 0) - 1
 
 

@@ -7,8 +7,9 @@ chains (deterministic Schreier–Sims: exact order and membership, with
 an element budget on the order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
 pruning, vertex stabilizers by Schreier's lemma, full code automorphism
-groups, and code equivalence searches.  Every group is held as
-generators and a stabilizer chain.
+groups, and the search for a coordinate permutation carrying one code
+onto another.  Every group is held as generators and a stabilizer
+chain.
 
 Composition convention, fixed globally: ``compose(x, y)`` means "apply
 x first, then y", matching right-action exponent notation.
@@ -257,20 +258,13 @@ class StabilizerChain:
 
 
 def closure(
-    gens: Iterable[GraphAutomorphism],
-    m: int | None = None,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
+    gens: Iterable[GraphAutomorphism], m: int, budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> GroupHandle:
-    """The subgroup generated by the given automorphisms, as a stabilizer
-    chain: exact order and membership.
+    """The subgroup of length ``m`` generated by the given automorphisms,
+    as a stabilizer chain: exact order and membership.
 
     Raises ResourceBudgetError when the order exceeds ``budget``.
     """
-    gens = tuple(gens)
-    if m is None:
-        if not gens:
-            raise ValueError("cannot infer length from an empty generator list")
-        m = gens[0].degree
     e = identity(m)
     gens = tuple(g for g in dict.fromkeys(gens) if g != e)
     chain = StabilizerChain(m, gens)
@@ -640,14 +634,15 @@ def vertex_stabilizer(group: GroupHandle, mask: int) -> GroupHandle:
     return GroupHandle(m, tuple(kept), chain)
 
 
-def find_equivalence(
-    c1: Code, c2: Code, perms_only: bool = False
-) -> GraphAutomorphism | None:
-    """A graph automorphism mapping c1 onto c2, or a certified absence.
+def find_equivalence(c1: Code, c2: Code) -> GraphAutomorphism | None:
+    """A coordinate permutation mapping c1 onto c2 (as a flip-free
+    automorphism), or a certified absence of one.
 
     Distance distributions are compared first as an invariant filter;
     the backtracking afterwards is exhaustive, so None means no
-    equivalence exists.
+    permutation maps c1 onto c2.  Equivalences that also flip
+    coordinates are not searched: the classification's witness sigma is
+    a permutation.
     """
     if c1.length != c2.length:
         raise LengthError(f"length mismatch: {c1.length} vs {c2.length}")
@@ -655,17 +650,5 @@ def find_equivalence(
         return None
     if c1.size >= 2 and c1.distance_distribution != c2.distance_distribution:
         return None
-    m = c1.length
-    if perms_only:
-        perm = find_family_isomorphism(c1.words, c2.words, m)
-        return None if perm is None else GraphAutomorphism(0, perm)
-    a1 = c1.words[0]
-    fam1 = tuple(w ^ a1 for w in c1.words)
-    for b2 in c2.words:
-        perm = find_family_isomorphism(fam1, tuple(w ^ b2 for w in c2.words), m)
-        if perm is not None:
-            x = GraphAutomorphism(a1 ^ permute_mask_inv(perm, b2), perm)
-            if {apply_mask(x, w) for w in c1.words} != set(c2.words):
-                raise AssertionError("equivalence witness failed verification")
-            return x
-    return None
+    perm = find_family_isomorphism(c1.words, c2.words, c1.length)
+    return None if perm is None else GraphAutomorphism(0, perm)

@@ -77,8 +77,8 @@ def test_criterion_04_macwilliams(code12, code11):
     assert macwilliams_transform(hypothetical)[2] == -55
     for code in (code12, code11):
         assert all(v >= 0 for v in macwilliams_transform(code.distance_distribution))
-    assert external_distance(code12) == 4
-    assert external_distance(code11) == 3
+    for code, s in ((code12, 4), (code11, 3)):
+        assert external_distance(macwilliams_transform(code.distance_distribution)) == s
     report(4, "transform entry -55 for the 23-word distribution; s = 4 and 3")
 
 

@@ -61,7 +61,10 @@ def test_construct_hadamard12(workdir, hadamard12):
     path = workdir / "h12.txt"
     result = run_cli("construct", "hadamard12", "--out", str(path))
     assert result.returncode == 0
-    assert HadamardMatrix.from_text(path.read_text()) == hadamard12
+    lines = path.read_text().splitlines()
+    assert lines[0] == "order=12"
+    rows = tuple(tuple(1 if ch == "+" else -1 for ch in ln) for ln in lines[1:])
+    assert HadamardMatrix(12, rows) == hadamard12
 
 
 def test_construct_code_files(code12_file, code11_file, code12, code11):
@@ -311,6 +314,34 @@ def test_certify_ct_rejects_generators_of_another_degree(workdir, code12_file):
     )
     assert result.returncode == 2
     assert "degree 11" in result.stderr
+
+
+def test_certify_ct_holds_the_generator_file_to_its_budget(workdir, code11_file):
+    # the first line past the budget is refused before any line is parsed
+    # (the malformed one leads); blank lines do not count, and a file at
+    # the budget is certified: 64 identities move nothing, so FAIL
+    from cregcert.symmetry import GENERATOR_BUDGET
+
+    identity = "0" * 11 + "|" + " ".join(map(str, range(1, 12))) + "\n"
+    cases = (
+        ("not a generator\n" + identity * GENERATOR_BUDGET, 2),
+        ((identity + "\n") * GENERATOR_BUDGET, 1),
+    )
+    for i, (text, exit_code) in enumerate(cases):
+        gen_path = workdir / f"budget{i}.gens"
+        gen_path.write_text(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "cregcert.cli", "certify", str(code11_file), "ct"]
+            + ["--generators", str(gen_path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == exit_code, result.stderr
+        if exit_code == 2:
+            assert f"budget of {GENERATOR_BUDGET} generators" in result.stderr
+        else:
+            assert result.stdout.startswith("completely transitive: FAIL")
 
 
 def test_usage_error_exit_code():

@@ -17,7 +17,7 @@ from cregcert.designs import (
     lambda_i,
     t_design_lambda,
 )
-from cregcert.hamming import ksubset_masks
+from cregcert.hamming import ksubset_masks, points_to_mask
 from cregcert.symmetry import ResourceBudgetError, find_family_isomorphism, permute_mask
 
 
@@ -234,9 +234,27 @@ def test_covered_relation_matches_subset_counting(code11):
         assert covering == lam
 
 
+GOLDEN_DESIGN11 = """points=11 k=5 t=2 lambda=2
+2 5 6 7 8
+3 4 5 7 9
+1 4 6 8 9
+1 3 6 7 10
+2 3 4 8 10
+1 2 5 9 10
+1 2 4 7 11
+1 3 5 8 11
+2 3 6 9 11
+4 5 6 10 11
+7 8 9 10 11
+"""
+
+
 def test_design_file_roundtrip(design11):
-    text = design11.to_text()
-    assert Design.from_text(text) == design11
+    assert design11.to_text() == GOLDEN_DESIGN11
+    # the listed blocks verify back to the same design
+    lines = GOLDEN_DESIGN11.splitlines()[1:]
+    blocks = [points_to_mask(int(tok) for tok in ln.split()) for ln in lines]
+    assert Design.verified(blocks, 11, 2) == design11
 
 
 def test_verified_rejects_non_designs():
@@ -245,9 +263,13 @@ def test_verified_rejects_non_designs():
 
 
 def test_design_header_must_name_every_parameter(design11):
-    text = design11.to_text().replace(" lambda=2", "", 1)
-    with pytest.raises(ValueError, match="lambda"):
-        Design.from_text(text)
+    header = design11.to_text().splitlines()[0]
+    assert dict(tok.split("=") for tok in header.split()) == {
+        "points": "11",
+        "k": "5",
+        "t": "2",
+        "lambda": "2",
+    }
 
 
 def parameter_id(params):
@@ -316,13 +338,28 @@ def canonicity_log(monkeypatch):
     return log
 
 
-def test_canonicity_matches_brute_force_on_orderly_prefixes(canonicity_log):
+@pytest.fixture
+def budgets(monkeypatch):
+    """Sets the search budgets for one test, with every search (the
+    derived ones too) run uncached; the cache is cleared afterwards."""
+    monkeypatch.setattr(designs, "enumerate_designs", enumerate_designs.__wrapped__)
+
+    def set_budgets(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(designs, name, value)
+
+    yield set_budgets
+    enumerate_designs.cache_clear()
+
+
+def test_canonicity_matches_brute_force_on_orderly_prefixes(canonicity_log, budgets):
     # every prefix the orderly generation asks about; unlike random
     # families these reach the backjump's resume and reset paths.  With
     # no node budget every verdict is decided, so every one is checked.
+    budgets(CANON_NODE_BUDGET=None)
     for params, asked in (((2, 6, 3, 2), 16), ((2, 7, 3, 2), 48)):
         canonicity_log.clear()
-        designs.enumerate_designs(*params, canon_node_budget=None)
+        enumerate_designs.__wrapped__(*params)
         assert len(canonicity_log) == asked
         mismatches = [
             (seq, verdict)
@@ -332,17 +369,19 @@ def test_canonicity_matches_brute_force_on_orderly_prefixes(canonicity_log):
         assert mismatches == []
 
 
-def test_default_budget_keeps_the_exhaustive_representatives(canonicity_log):
+def test_default_budget_keeps_the_exhaustive_representatives(canonicity_log, budgets):
     # undecided prefixes are kept, so the small default budget changes the
     # work but not the output; the derived search is uncached too, so
     # every check runs and is seen
-    search = designs.enumerate_designs
+    search, default = enumerate_designs.__wrapped__, designs.CANON_NODE_BUDGET
     for params, count in (((2, 11, 5, 2), 14), ((3, 12, 6, 2), 25)):
+        budgets(CANON_NODE_BUDGET=default)
         canonicity_log.clear()
         bounded = search(*params)
         assert sum(verdict is None for *_, verdict in canonicity_log) == count
+        budgets(CANON_NODE_BUDGET=None)
         canonicity_log.clear()
-        assert search(*params, canon_node_budget=None) == bounded
+        assert search(*params) == bounded
         assert all(verdict is not None for *_, verdict in canonicity_log)
 
 
@@ -363,11 +402,12 @@ def test_canonicity_is_asked_only_of_feasible_prefixes(canonicity_log, params, a
 
 
 @pytest.mark.parametrize("params", [(1, 6, 3, 2), (2, 7, 3, 2), (3, 8, 4, 1)], ids=parameter_id)
-def test_complete_solutions_are_decided_at_any_budget(canonicity_log, params):
+def test_complete_solutions_are_decided_at_any_budget(canonicity_log, budgets, params):
     # the node budget bounds prefix tests only: a complete solution is
     # kept only when proved canonical, so no isomorphism pass is needed
     b = int(block_count(*params))
-    designs.enumerate_designs(*params, canon_node_budget=1)
+    budgets(CANON_NODE_BUDGET=1)
+    enumerate_designs.__wrapped__(*params)
     complete = [verdict for blocks, _, verdict in canonicity_log if len(blocks) == b]
     assert complete and None not in complete
 
@@ -375,10 +415,9 @@ def test_complete_solutions_are_decided_at_any_budget(canonicity_log, params):
 def test_derived_search_shares_the_cache_entry():
     enumerate_designs.cache_clear()
     enumerate_designs(2, 11, 5, 2)
-    enumerate_designs(3, 12, 6, 2)  # derived: (2, 11, 5, 2, 64, 100, 10**6)
-    enumerate_designs(2, 11, 5, 2, canon_node_budget=100)
+    enumerate_designs(3, 12, 6, 2)  # derived: (2, 11, 5, 2)
     info = enumerate_designs.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    assert (info.misses, info.hits) == (2, 1)
 
 
 @pytest.mark.parametrize(
@@ -386,18 +425,22 @@ def test_derived_search_shares_the_cache_entry():
     [(1, 6, 3, 2), (2, 6, 3, 2), (2, 7, 3, 1), (2, 7, 3, 2), (2, 9, 3, 1), (3, 8, 4, 1)],
     ids=parameter_id,
 )
-def test_representatives_do_not_depend_on_the_node_budget(params):
+def test_representatives_do_not_depend_on_the_node_budget(budgets, params):
     search = enumerate_designs.__wrapped__
-    exhaustive = search(*params, canon_node_budget=None)
-    assert search(*params, canon_node_budget=1) == exhaustive
-    assert search(*params) == exhaustive
+    bounded = search(*params)
+    budgets(CANON_NODE_BUDGET=None)
+    exhaustive = search(*params)
+    budgets(CANON_NODE_BUDGET=1)
+    assert search(*params) == exhaustive == bounded
 
 
-def test_enumeration_table_budget_is_exact():
+def test_enumeration_table_budget_is_exact(budgets):
     # 2-(7,3,1): 2^7 coverage counters and 35 candidates with 3 + 3 subsets
+    budgets(TABLE_BUDGET=337)
     with pytest.raises(ResourceBudgetError, match="338 table entries"):
-        enumerate_designs(2, 7, 3, 1, table_budget=337)
-    assert len(enumerate_designs(2, 7, 3, 1, table_budget=338)) == 1
+        enumerate_designs.__wrapped__(2, 7, 3, 1)
+    budgets(TABLE_BUDGET=338)
+    assert len(enumerate_designs.__wrapped__(2, 7, 3, 1)) == 1
 
 
 def count_labelled_designs(points, k, t, lam):
@@ -516,21 +559,23 @@ def test_top_star_is_a_derived_representative(params):
         assert star in derived
 
 
-def test_derived_enumeration_inherits_the_budgets(monkeypatch):
+def test_derived_enumeration_inherits_the_budgets(budgets, monkeypatch):
     calls = []
-    cached = designs.enumerate_designs
+    search = enumerate_designs.__wrapped__  # uncached, so every recursion is seen
 
     def counting(*args):
-        calls.append(args)
-        return cached(*args)
+        calls.append((args, designs.BLOCK_BUDGET, designs.TABLE_BUDGET))
+        return search(*args)
 
     monkeypatch.setattr(designs, "enumerate_designs", counting)
-    search = cached.__wrapped__  # uncached, so every recursion is seen
     # 3-(12,6,2): 22 blocks and 2^12 + 924 * (6 + 15 + 20) = 41,980 entries
+    budgets(BLOCK_BUDGET=21)
     with pytest.raises(ResourceBudgetError, match="22 blocks"):
-        search(3, 12, 6, 2, block_budget=21)
+        search(3, 12, 6, 2)
+    budgets(BLOCK_BUDGET=22, TABLE_BUDGET=41979)
     with pytest.raises(ResourceBudgetError, match="41980 table entries"):
-        search(3, 12, 6, 2, table_budget=41979)
+        search(3, 12, 6, 2)
     assert calls == []
-    assert len(search(3, 8, 4, 1, 20, 5000, 1300)) == 1
-    assert calls == [(2, 7, 3, 1, 20, 5000, 1300)]
+    budgets(BLOCK_BUDGET=20, CANON_NODE_BUDGET=5000, TABLE_BUDGET=1300)
+    assert len(search(3, 8, 4, 1)) == 1
+    assert calls == [((2, 7, 3, 1), 20, 1300)]

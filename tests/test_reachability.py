@@ -1,11 +1,12 @@
 """Every function and method of the package is reached from an entry point.
 
-A name-based walk over the ASTs of ``src/cregcert``.  A definition is
-reached when a reached body names it (as a name or as an attribute), so
-two definitions that share a name are reached together; a function's
-own locals do not count.  A reached class reaches its dunder methods,
-and a method is reached by any attribute of its name.  The roots are
-the CLI, the report steps and the replay:
+A name-based walk over the ASTs of ``src/cregcert``.  A function or
+class is reached when a reached body names it (as a name or as an
+attribute), so two definitions that share a name are reached together;
+a function's own locals do not count.  A method is reached only by an
+attribute of its name (``x.compose``, not ``compose(...)``), and a
+reached class reaches its dunder methods.  The roots are the CLI, the
+report steps and the replay:
 
 - ``cli.main``, ``verify_report``, ``classify`` and ``certify_theorem``;
 - every function a package decorator registers (``@_step(...)``), and
@@ -33,14 +34,14 @@ ROOTS = {
 
 
 def _names(nodes) -> set[str]:
-    """Every name and attribute the nodes use."""
+    """Every name the nodes use, and every attribute as ``.attr``."""
     found = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 found.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
+                found.add("." + sub.attr)
     return found
 
 
@@ -53,7 +54,7 @@ def _body_names(function) -> set[str]:
         if isinstance(sub, ast.Name):
             (bound if isinstance(sub.ctx, ast.Store) else loaded).add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            attrs.add(sub.attr)
+            attrs.add("." + sub.attr)
         elif isinstance(sub, ast.arg):
             bound.add(sub.arg)
         elif _is_def(sub) and sub is not function:
@@ -76,7 +77,7 @@ def _header(node) -> list:
 def reachability(src: Path = SRC, acceptance: Path = ACCEPTANCE):
     """(reached, unreached): qualified names of the package's functions,
     classes and methods."""
-    defs = {}  # qualified name -> (simple name, uses when reached)
+    defs = {}  # qualified name -> (what reaches it, uses when reached)
     roots = set(ROOTS)
     package_defs = set()
     registering = []  # (decorator names, function name)
@@ -93,14 +94,17 @@ def reachability(src: Path = SRC, acceptance: Path = ACCEPTANCE):
             if isinstance(node, ast.ClassDef):
                 methods = [n for n in node.body if _is_def(n)]
                 rest = [n for n in node.body if not _is_def(n)]
-                protocol = {m.name for m in methods if m.name.startswith("__")}
+                protocol = {"." + m.name for m in methods if m.name.startswith("__")}
                 uses = _names(rest) | protocol
                 for method in methods:
                     uses |= _names(_header(method))
-                    defs[f"{qual}.{method.name}"] = (method.name, _body_names(method))
-                defs[qual] = (node.name, uses)
+                    defs[f"{qual}.{method.name}"] = (
+                        {"." + method.name},
+                        _body_names(method),
+                    )
+                defs[qual] = ({node.name, "." + node.name}, uses)
             else:
-                defs[qual] = (node.name, _body_names(node))
+                defs[qual] = ({node.name, "." + node.name}, _body_names(node))
                 calls = [d.func for d in node.decorator_list if isinstance(d, ast.Call)]
                 registering.append((_names(calls), node.name))
     roots |= {name for used, name in registering if used & package_defs}
@@ -113,11 +117,11 @@ def reachability(src: Path = SRC, acceptance: Path = ACCEPTANCE):
     while frontier:
         reached_names |= frontier
         used = set()
-        for simple, uses in defs.values():
-            if simple in frontier:
+        for keys, uses in defs.values():
+            if keys & frontier:
                 used |= uses
         frontier = used - reached_names
-    reached = {q for q, (simple, _) in defs.items() if simple in reached_names}
+    reached = {q for q, (keys, _) in defs.items() if keys & reached_names}
     return sorted(reached), sorted(defs.keys() - reached)
 
 
@@ -125,3 +129,55 @@ def test_every_definition_is_reached():
     reached, unreached = reachability()
     assert "cli.main" in reached and "classify.verify_report" in reached
     assert not unreached, "reached by no entry point: " + ", ".join(unreached)
+
+
+# every parameter with a default in a package function or method, so that
+# a new option shows in this set's diff
+DEFAULTED_PARAMETERS = {
+    "classify._Inputs.__init__(size_bound)",
+    "classify._Inputs.__init__(element_budget)",
+    "classify.classify(size_bound)",
+    "classify.certify_theorem(element_budget)",
+    "classify.build_report(theorem_certs)",
+    "classify.build_report(runtime_seconds)",
+    "classify.verify_report(element_budget)",
+    "cli.main(argv)",
+    "designs._image_greater_exists(node_budget)",
+    "designs.blocks_are_canonical(node_budget)",
+    "regularity.transitivity_by_stabilizer(alpha)",
+    "symmetry.StabilizerChain.__init__(generators)",
+    "symmetry.StabilizerChain.sift(start)",
+    "symmetry.closure(budget)",
+    "symmetry.orbits(domain)",
+    "symmetry._FamilyMatcher.search(prefix)",
+    "symmetry.setwise_stabilizer_perms(element_budget)",
+    "symmetry.code_automorphism_group(element_budget)",
+}
+
+
+def defaulted_parameters(src: Path = SRC) -> set[str]:
+    """``module.qualname(parameter)`` for every parameter with a default."""
+    found = set()
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not _is_def(child):
+                visit(child, prefix)
+                continue
+            qual = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults) :] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                found.update(f"{qual}({a.arg})" for a in named)
+            visit(child, qual)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_parameters_with_defaults_are_pinned():
+    assert defaulted_parameters() == DEFAULTED_PARAMETERS

@@ -86,9 +86,8 @@ def test_real_codes_have_nonnegative_transforms(code12, code11):
 
 
 def test_external_distance(code12, code11):
-    assert external_distance(code12) == 4
-    assert external_distance(code11) == 3
-    assert external_distance(Code(4, range(16))) == 0
+    for code, s in ((code12, 4), (code11, 3), (Code(4, range(16)), 0)):
+        assert external_distance(macwilliams_transform(code.distance_distribution)) == s
 
 
 def test_uniformly_packed_codes(code12, code11):

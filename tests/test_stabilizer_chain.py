@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from cregcert.codes import Code
-from cregcert.designs import design_automorphisms
 from cregcert.hamming import LengthError
 from cregcert.symmetry import (
     GraphAutomorphism,
@@ -127,21 +126,21 @@ def test_chain_rejects_a_wrong_degree():
     with pytest.raises(LengthError):
         chain.add(GraphAutomorphism(0, (1, 0, 2)))
     with pytest.raises(LengthError):
-        closure([GraphAutomorphism(0, (1, 0, 2, 3)), GraphAutomorphism(1, (0, 1, 2))])
+        closure([GraphAutomorphism(0, (1, 0, 2, 3)), GraphAutomorphism(1, (0, 1, 2))], 4)
 
 
 def test_closure_is_held_to_its_budget():
     cyc = GraphAutomorphism(0, tuple((i + 1) % 8 for i in range(8)))
     flip = GraphAutomorphism(1, tuple(range(8)))
     with pytest.raises(ResourceBudgetError, match="2047"):
-        closure([cyc, flip], budget=2047)
-    group = closure([cyc, flip], budget=2048)
+        closure([cyc, flip], 8, budget=2047)
+    group = closure([cyc, flip], 8, budget=2048)
     assert group.order == 2048
 
 
 def test_chain_leaves_equality_and_hash_unchanged():
     gens = (GraphAutomorphism(0, (1, 2, 0)), GraphAutomorphism(1, (0, 1, 2)))
-    group, twin = closure(gens), closure(gens)
+    group, twin = closure(gens, 3), closure(gens, 3)
     unclosed = GroupHandle(3, gens)
     assert group.order == 24
     with pytest.raises(ValueError, match="closure"):
@@ -226,8 +225,8 @@ def test_stabilizer_budget_is_checked_before_listing():
 
 def test_design_group_is_held_to_the_element_budget(design12):
     with pytest.raises(ResourceBudgetError, match="7919"):
-        design_automorphisms(design12, element_budget=7919)
-    group = design_automorphisms(design12, element_budget=7920)
+        setwise_stabilizer_perms(design12.blocks, 12, 7919)
+    group = setwise_stabilizer_perms(design12.blocks, 12, 7920)
     assert group.order == 7920
 
 

@@ -89,14 +89,14 @@ def test_format_parse_roundtrip():
 def test_closure_trivial_and_small():
     assert closure([], 4).order == 1
     swap = GraphAutomorphism(0, (1, 0, 2))
-    assert closure([swap]).order == 2
+    assert closure([swap], 3).order == 2
 
 
 def test_closure_budget_error_names_the_budget():
     cyc = GraphAutomorphism(0, tuple((i + 1) % 8 for i in range(8)))
     flip = GraphAutomorphism(1, tuple(range(8)))
     with pytest.raises(ResourceBudgetError, match="37"):
-        closure([cyc, flip], budget=37)
+        closure([cyc, flip], 8, budget=37)
 
 
 def test_orbits_trivial_group():
@@ -160,7 +160,7 @@ def test_full_symmetric_group_is_transitive_on_ksubsets():
         GraphAutomorphism(0, (1, 0, 2, 3, 4)),
         GraphAutomorphism(0, (1, 2, 3, 4, 0)),
     ]
-    group = closure(gens)
+    group = closure(gens, 5)
     assert group.order == 120
     assert len(orbits_on_ksubsets(group, 2)) == 1
 
@@ -275,10 +275,10 @@ def test_find_equivalence_after_relabeling(code12):
     rng = random.Random(25)
     perm = list(range(12))
     rng.shuffle(perm)
-    sigma = GraphAutomorphism(rng.randrange(1 << 12), tuple(perm))
+    sigma = GraphAutomorphism(0, tuple(perm))
     relabeled = Code(12, (apply_mask(sigma, w) for w in code12.words))
     x = find_equivalence(code12, relabeled)
-    assert x is not None
+    assert x is not None and x.flips == 0
     assert {apply_mask(x, w) for w in code12.words} == set(relabeled.words)
 
 

@@ -10,7 +10,6 @@ reports serialize deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 SCHEMA = "creg-cert/1"
 
@@ -45,8 +44,3 @@ class Certificate:
             "verdict": self.verdict,
         }
 
-
-def fraction_str(value: int | Fraction) -> str:
-    """An int or a Fraction as a 'p' or 'p/q' string, for exact, readable
-    witnesses: ``str`` of a Fraction already omits a denominator of 1."""
-    return str(value)

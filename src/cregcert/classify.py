@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from inspect import signature
 
-from .certs import FAIL, PASS, SCHEMA, Certificate, ResourceBudgetError, fraction_str
+from .certs import FAIL, PASS, SCHEMA, Certificate, ResourceBudgetError
 from .codes import Code
 from .designs import Design, block_count, check_t_design, enumerate_designs, lambda_i
 from .hadamard import code_of, paley_hadamard_12
@@ -216,7 +216,7 @@ def lambda_bounds(m: int, delta: int):
         for i in range(t + 1):
             value = lambda_i(t, m, delta, lam, i)
             integral = value.denominator == 1
-            derived.append({"i": i, "value": fraction_str(value), "integral": integral})
+            derived.append({"i": i, "value": str(value), "integral": integral})
         feasible = all(d["integral"] for d in derived)
         rows.append({"index": lam, "derived": derived, "feasible": feasible})
     feasible = [row["index"] for row in rows if row["feasible"]]
@@ -240,7 +240,7 @@ def _minimum_weight_block_count(m: int, delta: int):
         "t": t,
         "block_size": delta,
         "index": 2,
-        "blocks": fraction_str(b),
+        "blocks": str(b),
     }
     if b.denominator == 1:
         return f"the minimum-weight class has exactly {int(b)} codewords", witness, True
@@ -300,9 +300,9 @@ def _second_weight_class(size_bound: int):
         rows.append(
             {
                 "mu": mu,
-                "weight6_blocks": fraction_str(b6),
+                "weight6_blocks": str(b6),
                 "integral": b6.denominator == 1,
-                "forced_minimum_size": fraction_str(minimum),
+                "forced_minimum_size": str(minimum),
                 "within_bound": minimum <= size_bound,
             }
         )
@@ -334,9 +334,9 @@ def reject_size_23():
     a[6] = Fraction(11)
     aprime = macwilliams_transform(a)
     witness = {
-        "distribution": [fraction_str(v) for v in a],
-        "transform": [fraction_str(v) for v in aprime],
-        "second_entry": fraction_str(aprime[2]),
+        "distribution": [str(v) for v in a],
+        "transform": [str(v) for v in aprime],
+        "second_entry": str(aprime[2]),
     }
     if aprime[2] < 0:
         claim = "a 23-word code is impossible: its transform would be negative"

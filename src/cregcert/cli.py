@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: construct, analyze, certify, classify, enumerate-designs,
-aut.  Exit codes: 0 when every certificate passes, 1 when a certificate
-fails, 2 for usage or I/O errors.  Reports are deterministic given the
-same inputs and configuration.
+aut.  All take ``--out``; analyze, certify and classify take
+``--report``; certify (``ct`` only), classify and aut read
+``--element-budget``.  Exit codes: 0 when every certificate passes, 1
+when a certificate fails, 2 for usage or I/O errors.  Reports are
+deterministic given the same inputs and configuration.
 """
 
 from __future__ import annotations
@@ -14,17 +16,11 @@ import sys
 import time
 from itertools import islice
 
-from .certs import SCHEMA, fraction_str
-from .classify import (
-    SUPPORTED,
-    build_report,
-    certify_theorem,
-    classify,
-    report_json,
-)
+from .certs import SCHEMA
+from .classify import build_report, certify_theorem, classify, reference_code, report_json
 from .codes import Code, CodeFormatError
 from .designs import enumerate_designs, t_design_lambda
-from .hadamard import code_of, paley_hadamard_12
+from .hadamard import paley_hadamard_12
 from .regularity import certify_completely_regular, certify_completely_transitive
 from .spectral import certify_uniformly_packed, external_distance, macwilliams_transform
 from .symmetry import (
@@ -55,29 +51,34 @@ def _load_code(path: str) -> Code:
         return Code.from_text(fh.read())
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="output file (default: standard output)")
-    parser.add_argument("--report", help="write a JSON report to this path")
-    parser.add_argument(
-        "--element-budget",
-        type=int,
-        default=DEFAULT_ELEMENT_BUDGET,
-        help="maximum group order before aborting",
-    )
+def _element_budget(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _validate_common(args) -> None:
-    if args.element_budget < 1:
-        raise ValueError("--element-budget must be at least 1")
+_OPTIONS = {
+    "--out": {"help": "output file (default: standard output)"},
+    "--report": {"help": "write a JSON report to this path"},
+    "--element-budget": {
+        "type": _element_budget,
+        "default": DEFAULT_ELEMENT_BUDGET,
+        "help": "maximum group order before aborting",
+    },
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def cmd_construct(args) -> int:
     if args.target == "hadamard12":
         _write_output(paley_hadamard_12().to_text(), args.out)
         return EXIT_OK
-    code = code_of(paley_hadamard_12())
-    if args.target == "code11":
-        code = code.puncture(1)
+    code = reference_code(12, 6) if args.target == "code12" else reference_code(11, 5)
     header = (
         f"# ({code.length},{code.size},{code.min_distance}) "
         f"{'Hadamard 12 code' if args.target == 'code12' else 'punctured Hadamard 12 code'}\n"
@@ -97,11 +98,11 @@ def _analysis_payload(code: Code) -> dict:
         "size": code.size,
         "min_distance": code.min_distance if code.size >= 2 else None,
         "covering_radius": code.covering_radius,
-        "distance_distribution": [fraction_str(v) for v in dist],
-        "macwilliams_transform": [fraction_str(v) for v in aprime],
+        "distance_distribution": [str(v) for v in dist],
+        "macwilliams_transform": [str(v) for v in aprime],
         "external_distance": external_distance(aprime),
         "uniformly_packed": packed.satisfied,
-        "packing_weights": [fraction_str(v) for v in packed.lambdas]
+        "packing_weights": [str(v) for v in packed.lambdas]
         if packed.lambdas
         else None,
         "packing_note": packed.note,
@@ -168,7 +169,7 @@ def cmd_certify(args) -> int:
         else:
             lines.append(f"counterexample: {cert.witness}")
         certs = [cert]
-    elif args.which == "ct":
+    else:  # ct
         if args.generators:
             # one past the budget, so an oversized file is refused unparsed
             with open(args.generators, "r", encoding="utf-8") as fh:
@@ -189,12 +190,6 @@ def cmd_certify(args) -> int:
             f"cell sizes:  {cert.witness.get('cell_sizes')}",
         ]
         certs = [cert]
-    else:  # theorem
-        key = (code.length, code.min_distance)
-        if key not in SUPPORTED:
-            raise ValueError(f"theorem certification supports {sorted(SUPPORTED)}")
-        certs = certify_theorem(*key, element_budget=args.element_budget)
-        lines = [f"{c.anchor}: {c.verdict}" for c in certs]
     _write_output("\n".join(lines) + "\n", args.out)
     if args.report:
         payload = {
@@ -269,26 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="write the reference matrix or codes")
     p.add_argument("target", choices=["hadamard12", "code12", "code11"])
-    _add_common(p)
+    _add_options(p, "--out")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="parameters and transforms of a code file")
     p.add_argument("codefile")
-    _add_common(p)
+    _add_options(p, "--out", "--report")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("certify", help="run a certifier against a code file")
     p.add_argument("codefile")
-    p.add_argument("which", choices=["creg", "ct", "theorem"])
+    p.add_argument("which", choices=["creg", "ct"])
     p.add_argument("--generators", help="generator file for the ct certifier")
-    _add_common(p)
+    _add_options(p, "--out", "--report", "--element-budget")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("classify", help="replay the uniqueness classification")
     p.add_argument("length", type=int)
     p.add_argument("min_distance", type=int)
     p.add_argument("--size-bound", type=int, default=None)
-    _add_common(p)
+    _add_options(p, "--out", "--report", "--element-budget")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate-designs", help="isomorph-free design enumeration")
@@ -296,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("k", type=int)
     p.add_argument("lam", type=int, metavar="lambda")
-    _add_common(p)
+    _add_options(p, "--out")
     p.set_defaults(func=cmd_enumerate_designs)
 
     p = sub.add_parser("aut", help="automorphism group of a code file")
     p.add_argument("codefile")
-    _add_common(p)
+    _add_options(p, "--out", "--element-budget")
     p.set_defaults(func=cmd_aut)
 
     return parser
@@ -310,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _validate_common(args)
         return args.func(args)
     except CodeFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

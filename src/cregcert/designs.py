@@ -19,6 +19,7 @@ constants ``BLOCK_BUDGET``, ``TABLE_BUDGET`` and ``CANON_NODE_BUDGET``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -91,18 +92,15 @@ def check_t_design(blocks, points: int, t: int):
     k = sizes.pop()
     if not 0 <= t <= k:
         raise ValueError(f"strength {t} out of range 0..{k}")
-    counts: dict[int, int] = {}
-    for b in blocks:
-        bits = [i for i in range(points) if (b >> i) & 1]
-        for sub in combinations(bits, t):
-            mask = 0
-            for i in sub:
-                mask |= 1 << i
-            counts[mask] = counts.get(mask, 0) + 1
+    counts = Counter(
+        sum(sub)
+        for b in blocks
+        for sub in combinations([1 << i for i in range(points) if (b >> i) & 1], t)
+    )
     first = None
     lam = None
     for sub in ksubset_masks(points, t):
-        c = counts.get(sub, 0)
+        c = counts[sub]
         if lam is None:
             lam = c
             first = sub

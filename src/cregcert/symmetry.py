@@ -526,12 +526,12 @@ def setwise_stabilizer_perms(
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> GroupHandle:
     """The coordinate permutations preserving the block family setwise, as
-    a stabilizer chain and reduced generators.
+    the backtracking chain and reduced generators.
 
     Base-point backtracking gives the chain and its exact order, held to
     the element budget.  The generators are chosen greedily
-    (``_greedy_generators``); each is checked to map the family
-    onto itself, and together they must reach the full order.
+    (``_greedy_generators``), which keeps only sets that reach the
+    chain's order; each is checked to map the family onto itself.
     """
     if not family:
         raise ValueError("the block family must be nonempty")
@@ -540,10 +540,7 @@ def setwise_stabilizer_perms(
     blocks = set(family)
     if any({permute_mask(g.perm, b) for b in blocks} != blocks for g in gens):
         raise AssertionError("a generator does not stabilize the family")
-    chain = StabilizerChain(m, gens)
-    if chain.order != group.order:
-        raise AssertionError("the reduced generators do not reach the full order")
-    return GroupHandle(m, tuple(gens), chain)
+    return GroupHandle(m, tuple(gens), group)
 
 
 def code_automorphism_group(
@@ -553,16 +550,14 @@ def code_automorphism_group(
 
     Computed as: the permutation stabilizer of the (zero-shifted) word
     family, one transversal element mapping the zero word to each
-    reachable codeword, then the stabilizer chain of a generating subset.
-    Every transversal witness is proved a member by sifting, and the
-    chain order must equal the stabilizer order times the orbit length
-    of the zero word.
+    reachable codeword, then the stabilizer chain of all of them, as
+    ``closure`` builds it for a replayed witness.  The chain order must
+    equal the stabilizer order times the orbit length of the least word.
     """
     m = code.length
     base = code.words[0]
     family = tuple(w ^ base for w in code.words)
     stab = setwise_stabilizer_perms(family, m, element_budget)
-    stab_gens = list(stab.generators)
 
     transversals: list[GraphAutomorphism] = []
     for beta in family[1:]:
@@ -574,26 +569,12 @@ def code_automorphism_group(
             raise AssertionError("transversal does not map 0 to its target")
         transversals.append(x)
 
-    # a small generating set: stabilizer generators plus transversals
-    # until the orbit of 0 covers every reachable codeword
-    reachable = {0} | {apply_mask(x, 0) for x in transversals}
-    chosen = list(stab_gens)
-    for x in transversals:
-        if orbit_of(0, chosen) >= reachable:
-            break
-        if apply_mask(x, 0) not in orbit_of(0, chosen):
-            chosen.append(x)
     # the pure translation by the least word is an involution carrying
     # the shifted family back onto the original code
     shift = GraphAutomorphism(base, tuple(range(m)))
-
-    def conj(xs: list[GraphAutomorphism]) -> tuple[GraphAutomorphism, ...]:
-        return tuple(compose(compose(shift, x), shift) for x in xs)
-
-    closed = closure(conj(chosen), m, budget=element_budget)
-    generators = conj(stab_gens + transversals)
-    if not all(x in closed.chain for x in generators):
-        raise AssertionError("a generator is missing from the closure")
+    gens = stab.generators + tuple(transversals)
+    generators = tuple(compose(compose(shift, x), shift) for x in gens)
+    closed = closure(generators, m, budget=element_budget)
     if closed.order != stab.order * len(orbit_of(base, generators)):
         raise AssertionError("closure order is not stabilizer order times orbit length")
     for g in generators:

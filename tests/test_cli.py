@@ -349,6 +349,42 @@ def test_usage_error_exit_code():
     assert result.returncode == 2
 
 
+def test_certify_has_no_theorem_mode(workdir):
+    # a (12, 2, 6) code that is not completely regular: a theorem mode
+    # certified the reference code of the file's (m, delta) instead, and
+    # passed; classify prints the theorem steps
+    path = workdir / "two_words.txt"
+    path.write_text("m=12\n000000000000\n111111000000\n")
+    result = run_cli("certify", str(path), "theorem")
+    assert result.returncode == 2
+    assert "invalid choice: 'theorem'" in result.stderr
+    result = run_cli("certify", str(path), "creg")
+    assert result.returncode == 1
+    assert result.stdout.startswith("completely regular: FAIL")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "code12", "--report", "r.json"],
+        ["enumerate-designs", "2", "7", "3", "1", "--report", "r.json"],
+        ["aut", "{code}", "--report", "r.json"],
+        ["analyze", "{code}", "--element-budget", "5"],
+        ["classify", "11", "5", "--element-budget", "0"],
+    ],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(
+    argv, code11_file, capsys
+):
+    from cregcert import cli
+
+    args = [str(code11_file) if a == "{code}" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
 def test_aut_element_budget_is_a_usage_error(code12_file):
     result = run_cli("aut", str(code12_file), "--element-budget", "1000")
     assert result.returncode == 2

@@ -181,3 +181,30 @@ def defaulted_parameters(src: Path = SRC) -> set[str]:
 
 def test_parameters_with_defaults_are_pinned():
     assert defaulted_parameters() == DEFAULTED_PARAMETERS
+
+
+# each subcommand's option strings, so that an option no command reads
+# shows in this table's diff (certify reads --element-budget in ct mode)
+CLI_OPTIONS = {
+    "construct": {"--out"},
+    "analyze": {"--out", "--report"},
+    "certify": {"--generators", "--out", "--report", "--element-budget"},
+    "classify": {"--size-bound", "--out", "--report", "--element-budget"},
+    "enumerate-designs": {"--out"},
+    "aut": {"--out", "--element-budget"},
+}
+
+
+def test_cli_options_are_pinned():
+    import argparse
+
+    from cregcert.cli import build_parser
+
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert options == CLI_OPTIONS

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from inspect import signature
+from math import comb
 
 from .certs import FAIL, PASS, SCHEMA, Certificate, ResourceBudgetError
 from .codes import Code
@@ -151,12 +152,11 @@ class _Inputs:
     @property
     def candidate(self) -> Code:
         """The code the design forces: the zero and all-ones words, the
-        blocks and, at length 11, their complements."""
+        blocks and their complements (at length 12 the design is
+        complement-closed, so ``Code`` drops the repeats)."""
         full = (1 << self.m) - 1
-        words = [0, full, *self.design.blocks]
-        if self.m == 11:
-            words.extend(full ^ b for b in self.design.blocks)
-        return Code(self.m, words)
+        blocks = self.design.blocks
+        return Code(self.m, [0, full, *blocks, *(full ^ b for b in blocks)])
 
 
 # ---------------------------------------------------------------------------
@@ -286,37 +286,46 @@ def _antipodality_and_size(design: Design, size_bound: int):
     return "the design is not complement-closed", witness, False
 
 
+def _complement_index(m: int, delta: int) -> Fraction:
+    """b - 2r + 2, r blocks through a point: the index of the complement
+    of the minimum-weight design when it is a 2-design (length 11)."""
+    b, r = (lambda_i(delta // 2, m, delta, 2, i) for i in (0, 1))
+    return b - 2 * r + 2
+
+
 @_step("classification/second-weight-class")
-def _second_weight_class(size_bound: int):
-    """Length-11 case: the weight-6 class is a 2-design whose index must
-    be divisible by 3, and the size bound leaves only index 3 with
-    eleven blocks."""
+def _second_weight_class(m: int, delta: int, size_bound: int):
+    """Length-11 case: the weight-(delta+1) class is a t-design whose index
+    mu, at most C(m-t, delta+1-t), must give an integral block count, and
+    the size bound leaves only the complement index b - 2r + 2."""
+    t, index = delta // 2, _complement_index(m, delta)
+    b, stop = block_count(t, m, delta, 2), max(size_bound, SUPPORTED[(m, delta)])
     rows = []
-    for mu in range(1, 7):
-        b6 = block_count(2, 11, 6, mu)
-        minimum = 12 + b6  # zero word + eleven weight-5 words + weight-6 class
-        if b6.denominator == 1 and int(minimum) > max(size_bound, 24) and mu > 3:
+    for mu in range(1, comb(m - t, delta + 1 - t) + 1):
+        b_next = block_count(t, m, delta + 1, mu)
+        minimum = 1 + b + b_next  # zero word + the two weight classes
+        if b_next.denominator == 1 and minimum > stop and mu > index:
             break
         rows.append(
             {
                 "mu": mu,
-                "weight6_blocks": str(b6),
-                "integral": b6.denominator == 1,
+                "weight6_blocks": str(b_next),
+                "integral": b_next.denominator == 1,
                 "forced_minimum_size": str(minimum),
                 "within_bound": minimum <= size_bound,
             }
         )
     feasible = [r["mu"] for r in rows if r["integral"] and r["within_bound"]]
     witness = {
-        # two weight-5 codewords share a pair of coordinates; minimum
-        # distance 5 forces their supports to overlap in exactly that
-        # pair, so their distance is 6 and weight-6 codewords exist
-        "support_overlap_of_pair_blocks": 2,
-        "distance_between_pair_blocks": 6,
+        # two weight-delta codewords share a t-set of coordinates; minimum
+        # distance delta forces their supports to overlap in exactly that
+        # t-set, so their distance is 2(delta - t) and such codewords exist
+        "support_overlap_of_pair_blocks": t,
+        "distance_between_pair_blocks": 2 * (delta - t),
         "mu_candidates": rows,
         "feasible": feasible,
     }
-    if feasible == [3]:
+    if feasible == [index]:
         claim = "the weight-6 class is a design with index 3 and eleven blocks"
         return claim, witness, True
     claim = "no admissible index exists for the weight-6 class under the bound"
@@ -324,14 +333,13 @@ def _second_weight_class(size_bound: int):
 
 
 @_step("classification/size-23-rejection")
-def reject_size_23():
-    """Length-11 case: a 23-word code would have distance distribution
-    (1, 0, 0, 0, 0, 11, 11, 0, ..., 0), whose exact transform has a
-    negative entry, which no code admits."""
-    a = [Fraction(0)] * 12
-    a[0] = Fraction(1)
-    a[5] = Fraction(11)
-    a[6] = Fraction(11)
+def reject_size_23(m: int, delta: int):
+    """Length-11 case: a code of the zero word and the two weight classes
+    (indices 2 and b - 2r + 2) would have distance distribution (1, 0, 0,
+    0, 0, 11, 11, 0, ..., 0), 23 words, and a negative exact transform."""
+    a = [Fraction(1)] + [Fraction(0)] * m
+    a[delta] = block_count(delta // 2, m, delta, 2)
+    a[delta + 1] = block_count(delta // 2, m, delta + 1, _complement_index(m, delta))
     aprime = macwilliams_transform(a)
     witness = {
         "distribution": [str(v) for v in a],
@@ -349,18 +357,18 @@ def reject_size_23():
 
 
 @_step("classification/interior-weight-rejection")
-def _interior_weight_rejection():
-    """Length-11 case: the one remaining codeword cannot have weight
-    7..10: its weight class would be a 2-design with a single block,
-    impossible on 11 points (the block-count bound asks for eleven)."""
+def _interior_weight_rejection(m: int, delta: int):
+    """Length-11 case: the one remaining codeword cannot have a weight
+    from delta+2 to m-1: its weight class would be a one-block t-design,
+    impossible on m points (Fisher's inequality asks for m blocks)."""
     rows = []
-    for i in range(7, 11):
-        lam, _ = check_t_design([(1 << i) - 1], 11, 2)
+    for i in range(delta + 2, m):
+        lam, _ = check_t_design([(1 << i) - 1], m, delta // 2)
         rows.append(
             {
                 "weight": i,
                 "single_block_is_2_design": lam is not None and lam > 0,
-                "minimum_blocks_required": 11,
+                "minimum_blocks_required": m,
             }
         )
     witness = {"weights": rows}
@@ -370,17 +378,17 @@ def _interior_weight_rejection():
 
 
 @_step("classification/antipodality")
-def _antipodality(design: Design):
-    """Length-11 case: the last codeword has weight 11, so the code is
-    antipodal and the weight-6 class is the complement design of the
-    weight-5 class, with index 3."""
-    full = (1 << 11) - 1
-    lam, _ = check_t_design([full ^ b for b in design.blocks], 11, 2)
+def _antipodality(design: Design, m: int, delta: int):
+    """Length-11 case: the last codeword has weight m, so the code is
+    antipodal and the weight-(delta+1) class is the complement design of
+    the weight-delta class, with the complement index b - 2r + 2."""
+    full = (1 << m) - 1
+    lam, _ = check_t_design([full ^ b for b in design.blocks], m, delta // 2)
     witness = {
-        "all_ones_weight": 11,
+        "all_ones_weight": m,
         "complement_design_index": lam,
     }
-    if lam == 3:
+    if lam == _complement_index(m, delta):
         claim = "antipodality holds and the complements form the index-3 design"
         return claim, witness, True
     claim = "the complements of the unique design do not form an index-3 design"
@@ -388,13 +396,15 @@ def _antipodality(design: Design):
 
 
 @_step("classification/code-structure")
-def _code_structure(candidate: Code, delta: int):
+def _code_structure(candidate: Code, m: int, delta: int, size_bound: int):
+    """As many forced words as the table bound, within the size bound."""
     witness = {
         "words": [format_mask(w, candidate.length) for w in candidate.words],
         "size": candidate.size,
         "min_distance": candidate.min_distance,
     }
-    if candidate.size == 24 and candidate.min_distance == delta:
+    sized = candidate.size == SUPPORTED[(m, delta)] <= size_bound
+    if sized and candidate.min_distance == delta:
         claim = "the forced codeword set is a code with the classified parameters"
         return claim, witness, True
     return "the forced codeword set violates the classified parameters", witness, False

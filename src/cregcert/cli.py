@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: construct, analyze, certify, classify, enumerate-designs,
-aut.  All take ``--out``; analyze, certify and classify take
-``--report``; certify (``ct`` only), classify and aut read
-``--element-budget``.  Exit codes: 0 when every certificate passes, 1
-when a certificate fails, 2 for usage or I/O errors.  Reports are
+aut.  All take ``--out``; analyze, certify and classify ``--report``;
+``certify FILE ct``, classify and aut ``--element-budget``.  Certify's
+options follow its mode.  Exit codes: 0 when every certificate passes,
+1 when a certificate fails, 2 for usage or I/O errors.  Reports are
 deterministic given the same inputs and configuration.
 """
 
@@ -274,9 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run a certifier against a code file")
     p.add_argument("codefile")
-    p.add_argument("which", choices=["creg", "ct"])
-    p.add_argument("--generators", help="generator file for the ct certifier")
-    _add_options(p, "--out", "--report", "--element-budget")
+    which = p.add_subparsers(dest="which", required=True)
+    _add_options(which.add_parser("creg"), "--out", "--report")
+    q = which.add_parser("ct")
+    q.add_argument("--generators", help="generator file for the ct certifier")
+    _add_options(q, "--out", "--report", "--element-budget")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("classify", help="replay the uniqueness classification")

@@ -27,6 +27,8 @@ from .hamming import check_length, format_mask, parse_mask
 
 # 16-bit fields the scan holds, 2^m * (m+1); admits every m <= 18
 SCAN_BUDGET = 1 << 23
+# codeword pairs N(N-1)/2 the distance distribution walks; admits 2^12 words
+PAIR_BUDGET = 1 << 23
 FIELD_BITS = 16
 # low bits of a scan block: a block holds the rows of 2^h vertices
 MAX_BLOCK_BITS = 6
@@ -96,7 +98,10 @@ class Code:
         return hash((self.length, self.words))
 
     def __repr__(self) -> str:
-        delta = self.min_distance if self.size >= 2 else None
+        try:
+            delta = self.min_distance if self.size >= 2 else None
+        except ResourceBudgetError:  # too many pairs: repr must not raise
+            delta = None
         return f"Code(m={self.length}, N={self.size}, delta={delta})"
 
     @cached_property
@@ -171,10 +176,13 @@ class Code:
 
     @cached_property
     def distance_distribution(self) -> tuple[Fraction, ...]:
-        """a_i = ordered codeword pairs at distance i, divided by N: one
-        walk over the unordered pairs, which also gives min_distance."""
+        """a_i = ordered codeword pairs at distance i, divided by N: one walk
+        over at most PAIR_BUDGET unordered pairs, which also gives min_distance."""
+        n = self.size
+        if n * (n - 1) // 2 > PAIR_BUDGET:
+            raise ResourceBudgetError(f"{n} codewords exceed the pair budget")
         pairs = Counter(map(int.bit_count, starmap(xor, combinations(self.words, 2))))
-        n, ks = self.size, range(1, self.length + 1)
+        ks = range(1, self.length + 1)
         return (Fraction(1),) + tuple(Fraction(2 * pairs[k], n) for k in ks)
 
     def weight_class(self, k: int) -> tuple[int, ...]:

@@ -85,7 +85,7 @@ def test_lambda_bounds_values():
 
 
 def test_reject_size_23_witness():
-    cert = reject_size_23()
+    cert = reject_size_23(11, 5)
     assert cert.passed
     assert cert.witness["second_entry"] == "-55"
     assert cert.witness["transform"][0] == "23"
@@ -105,6 +105,28 @@ def test_corrupted_size_bound_11():
     assert not run.passed
     assert run.steps[-1].anchor == "classification/second-weight-class"
     assert run.steps[-1].verdict == FAIL
+
+
+def _expected_end(m: int, bound: int) -> tuple[str, str]:
+    # 12: complement closure forces exactly 24 words, so only 24 passes.
+    # 11: the weight-6 index 3 needs a bound of 23 words or more, and the
+    # forced code has 24, so 23 fails at code-structure
+    if m == 12 and bound != 24:
+        return FAIL, "antipodality-and-size"
+    if m == 11 and bound <= 22:
+        return FAIL, "second-weight-class"
+    if m == 11 and bound == 23:
+        return FAIL, "code-structure"
+    return PASS, "equivalence-witness"
+
+
+@pytest.mark.parametrize("m", [12, 11])
+def test_size_bound_sweep(m):
+    for bound in range(1, 34):
+        run = classify(m, m // 2, size_bound=bound)
+        end = (run.verdict, run.steps[-1].anchor.removeprefix("classification/"))
+        assert end == _expected_end(m, bound), bound
+        assert run.passed == (run.sigma is not None)
 
 
 def test_unsupported_parameters():

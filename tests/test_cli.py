@@ -178,6 +178,17 @@ def test_classify_corrupted_bound(workdir):
     assert report["steps"][-1]["anchor"] == "classification/antipodality-and-size"
 
 
+def test_classify_bound_below_the_forced_size(workdir):
+    # the premise N <= 23 cannot hold for the 24 forced words
+    path = workdir / "bound23.json"
+    result = run_cli("classify", "11", "5", "--size-bound", "23", "--report", str(path))
+    assert result.returncode == 1
+    assert result.stdout.endswith("verdict: FAIL\n") and "sigma" not in result.stdout
+    report = json.loads(path.read_text())
+    assert report["steps"][-1]["anchor"] == "classification/code-structure"
+    assert all(ok for _, ok, _ in verify_report(report))
+
+
 def test_classify_unsupported_parameters():
     result = run_cli("classify", "10", "4")
     assert result.returncode == 2
@@ -246,14 +257,49 @@ def test_analyze_refuses_a_one_word_scan_over_budget(workdir):
     assert "scan budget" in result.stderr
 
 
-# replays a report with one parameter replaced, printing the results as JSON
+def test_analyze_refuses_a_pair_walk_over_budget(workdir):
+    # the scan admits the full space of length 15, but its 5.4e8 codeword
+    # pairs would take about a minute to walk
+    path = workdir / "full15.txt"
+    path.write_text("m=15\n" + "".join(f"{v:015b}\n" for v in range(1 << 15)))
+    result = subprocess.run(
+        [sys.executable, "-m", "cregcert.cli", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=20,
+    )
+    assert result.returncode == 2
+    assert "pair budget" in result.stderr
+
+
+# replays a report with the field at a dotted path set to a JSON value,
+# printing the results and the replay's own seconds as JSON
 _REPLAY_EDITED = """
-import json, sys
+import json, sys, time
 from cregcert.classify import verify_report
 report = json.loads(open(sys.argv[1]).read())
-report["parameters"][sys.argv[2]] = int(sys.argv[3])
-print(json.dumps(verify_report(report)))
+*keys, last = sys.argv[2].split(".")
+target = report
+for key in keys:
+    target = target[key]
+target[last] = json.loads(sys.argv[3])
+started = time.perf_counter()
+results = verify_report(report)
+print(json.dumps([results, time.perf_counter() - started]))
 """
+
+
+def _replay_edited(path, field: str, value) -> tuple[list, float]:
+    result = subprocess.run(
+        [sys.executable, "-c", _REPLAY_EDITED, str(path), field, json.dumps(value)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=20,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 @pytest.mark.parametrize("field", ["length", "min_distance"])
@@ -263,20 +309,22 @@ def test_replay_refuses_huge_parameters_before_reading(
     # a length of 10^9 sent the design reader over 10^9 points, and a
     # min_distance of 10^9 sent the block count into the same range; each
     # replay must fail every step at once, under a 1 GiB address-space cap
-    path = workdir / "report11.json"
-    result = subprocess.run(
-        [sys.executable, "-c", _REPLAY_EDITED, str(path), field, str(10**9)],
-        capture_output=True,
-        text=True,
-        preexec_fn=_limit_address_space,
-        timeout=20,
+    results, _ = _replay_edited(
+        workdir / "report11.json", f"parameters.{field}", 10**9
     )
-    assert result.returncode == 0, result.stderr
-    results = json.loads(result.stdout)
     assert len(results) == len(classify11_report["steps"])
     assert not any(ok for _, ok, _ in results)
     (detail,) = {detail for _, _, detail in results}
     assert detail.startswith("no classification chain for parameters")
+
+
+@pytest.mark.parametrize("value", [10**9, -1, 2.5, "x", None, True])
+def test_replay_of_a_tampered_size_bound_is_bounded(workdir, classify11_report, value):
+    # the second weight class loops over its index up to a cap derived
+    # from (m, delta), so no size bound can stretch the replay
+    results, seconds = _replay_edited(workdir / "report11.json", "size_bound", value)
+    assert results[0][:2] == ["classification/size-bound", False]
+    assert seconds < 1.0
 
 
 def test_aut_small_code(workdir):
@@ -371,6 +419,8 @@ def test_certify_has_no_theorem_mode(workdir):
         ["aut", "{code}", "--report", "r.json"],
         ["analyze", "{code}", "--element-budget", "5"],
         ["classify", "11", "5", "--element-budget", "0"],
+        ["certify", "{code}", "creg", "--generators", "gens.txt"],
+        ["certify", "{code}", "creg", "--element-budget", "5"],
     ],
 )
 def test_an_option_the_command_does_not_read_is_a_usage_error(

@@ -277,6 +277,14 @@ def test_min_distance_needs_no_scan():
     assert repr(code) == "Code(m=24, N=3, delta=3)"
 
 
+def test_pair_budget_refuses_before_walking():
+    # 2^13 words make 3.4e7 pairs, four times the budget; repr still answers
+    code = Code(13, range(1 << 13))
+    with pytest.raises(ResourceBudgetError, match="pair budget"):
+        code.min_distance
+    assert repr(code) == "Code(m=13, N=8192, delta=None)"
+
+
 def test_scan_budget_counts_fields_not_words():
     with pytest.raises(ResourceBudgetError, match="scan budget"):
         Code(19, [0]).outer_distribution

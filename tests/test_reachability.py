@@ -184,27 +184,62 @@ def test_parameters_with_defaults_are_pinned():
 
 
 # each subcommand's option strings, so that an option no command reads
-# shows in this table's diff (certify reads --element-budget in ct mode)
+# shows in this table's diff; each certify mode is a subcommand of its own
 CLI_OPTIONS = {
     "construct": {"--out"},
     "analyze": {"--out", "--report"},
-    "certify": {"--generators", "--out", "--report", "--element-budget"},
+    "certify": set(),
+    "certify creg": {"--out", "--report"},
+    "certify ct": {"--generators", "--out", "--report", "--element-budget"},
     "classify": {"--size-bound", "--out", "--report", "--element-budget"},
     "enumerate-designs": {"--out"},
     "aut": {"--out", "--element-budget"},
 }
 
 
-def test_cli_options_are_pinned():
+def _subcommand_options(parser, prefix: str = "") -> dict[str, set[str]]:
     import argparse
 
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                path = f"{prefix} {name}".strip()
+                options[path] = {
+                    s for a in sub._actions for s in a.option_strings
+                } - {"-h", "--help"}
+                options.update(_subcommand_options(sub, path))
+    return options
+
+
+def test_cli_options_are_pinned():
     from cregcert.cli import build_parser
 
-    (subparsers,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    assert _subcommand_options(build_parser()) == CLI_OPTIONS
+
+
+def _step_literals() -> list[int]:
+    """The integer literals above 2 in the bodies of the ``@_step``
+    certificate builders: numbers the chain states instead of deriving
+    from (m, delta) and the size bound."""
+    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    builders = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_step"
+            for d in node.decorator_list
+        )
     ]
-    options = {
-        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-        for name, p in subparsers.choices.items()
-    }
-    assert options == CLI_OPTIONS
+    return [
+        sub.value
+        for node in builders
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and type(sub.value) is int and sub.value > 2
+    ]
+
+
+def test_step_builders_state_no_chain_numbers():
+    # the one left is the 12 that names the reference code's label
+    assert _step_literals() == [12]

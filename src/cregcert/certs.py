@@ -17,10 +17,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-class ContradictionError(RuntimeError):
-    """A verified-impossible situation occurred; indicates a broken input."""
-
-
 class ResourceBudgetError(RuntimeError):
     """A scan, closure or search exceeded its budget."""
 

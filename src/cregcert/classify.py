@@ -511,15 +511,23 @@ def _search_group(p: _Inputs) -> None:
 def _read_design(p: _Inputs, witness: dict) -> None:
     """The representative must be a t-design of index 2 on delta-point
     blocks (``Design.verified`` checks the block count); the class count
-    is the one fact taken as recorded."""
-    blocks = [points_to_mask(points) for points in witness["representative_blocks"]]
+    is the one fact taken as recorded, and it must be an int (``True``
+    equals 1 but counts nothing)."""
+    count = witness["class_count"]
+    if type(count) is not int:
+        raise _Mismatch(f"the class count {count!r} is not an int")
+    listed = witness["representative_blocks"]
+    # a point is a shift count, so it is checked before it builds a mask
+    if any(type(q) is not int or not 1 <= q <= p.m for points in listed for q in points):
+        raise _Mismatch(f"a block point is not an int in 1..{p.m}")
+    blocks = [points_to_mask(points) for points in listed]
     design = Design.verified(blocks, p.m, p.delta // 2) if blocks else None
     if design is not None and (design.block_size, design.lam) != (p.delta, 2):
         raise _Mismatch(
             f"the witness design has blocks of size {design.block_size} "
             f"and index {design.lam}"
         )
-    p.class_count, p.design = witness["class_count"], design
+    p.class_count, p.design = count, design
 
 
 def _read_sigma(p: _Inputs, witness: dict) -> None:

@@ -184,11 +184,13 @@ def cmd_certify(args) -> int:
         else:
             group = code_automorphism_group(code, args.element_budget)
         cert = certify_completely_transitive(code, group)
-        lines = [
-            f"completely transitive: {cert.verdict}",
-            f"orbit sizes: {cert.witness.get('orbit_sizes')}",
-            f"cell sizes:  {cert.witness.get('cell_sizes')}",
-        ]
+        lines = [f"completely transitive: {cert.verdict}"]
+        if "stray_image" in cert.witness:  # a generator moves the code
+            lines.append(f"generator:   {cert.witness['generator']}")
+            lines.append(f"stray image: {cert.witness['stray_image']}")
+        else:
+            lines.append(f"orbit sizes: {cert.witness['orbit_sizes']}")
+            lines.append(f"cell sizes:  {cert.witness['cell_sizes']}")
         certs = [cert]
     _write_output("\n".join(lines) + "\n", args.out)
     if args.report:

@@ -1,5 +1,5 @@
-"""t-designs on small point sets: verification, parameter arithmetic,
-automorphisms, and isomorph-free exhaustive enumeration.
+"""t-designs on small point sets: verification, parameter arithmetic
+and isomorph-free exhaustive enumeration.
 
 Blocks are bitmasks over the point set (point i at bit i-1), and a
 design's canonical labeling is the one whose sorted-descending
@@ -26,12 +26,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from .certs import ResourceBudgetError
 from .hamming import check_length, ksubset_masks
-from .symmetry import (
-    GroupHandle,
-    ResourceBudgetError,
-    setwise_stabilizer_perms,
-)
 
 
 @dataclass(frozen=True)
@@ -127,11 +123,6 @@ def lambda_i(t: int, m: int, k: int, lam, i: int) -> Fraction:
 def block_count(t: int, m: int, k: int, lam) -> Fraction:
     """b = lam * C(m, t) / C(k, t), the i = 0 case of the index arithmetic."""
     return lambda_i(t, m, k, lam, 0)
-
-
-def design_automorphisms(design: Design) -> GroupHandle:
-    """The permutation group preserving the block family setwise."""
-    return setwise_stabilizer_perms(design.blocks, design.points)
 
 
 # ---------------------------------------------------------------------------

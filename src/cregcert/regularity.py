@@ -5,10 +5,7 @@ distribution f_k(nu) = |Gamma_k(nu) cap C| of every vertex and checking
 each row is constant on its distance-partition cell; the resulting
 intersection table is the certificate.  Complete transitivity is
 decided by direct orbit computation: a group stabilizing the code must
-have exactly the partition cells as vertex orbits.  The stabilizer-orbit
-shortcut (orbit of a sphere slice under a codeword's stabilizer, taken
-from the generators by Schreier's lemma) is also provided, and its
-conclusion always agrees with the direct computation.
+have exactly the partition cells as vertex orbits.
 """
 
 from __future__ import annotations
@@ -17,8 +14,8 @@ from dataclasses import dataclass
 
 from .certs import FAIL, PASS, Certificate
 from .codes import Code, OuterDistribution
-from .hamming import LengthError, format_mask, ksubset_masks
-from .symmetry import GroupHandle, apply_mask, orbit_of, orbits, vertex_stabilizer
+from .hamming import LengthError, format_mask
+from .symmetry import GroupHandle, apply_mask, orbits
 
 
 def outer_distribution(code: Code) -> OuterDistribution:
@@ -152,76 +149,6 @@ def certify_completely_transitive(code: Code, group: GroupHandle) -> Certificate
     return Certificate(
         "the orbit partition does not match the distance partition",
         "regularity/completely-transitive",
-        witness,
-        FAIL,
-    )
-
-
-def transitivity_by_stabilizer(
-    code: Code, group: GroupHandle, cell: int, alpha: int | None = None
-) -> Certificate:
-    """Certify transitivity on cell C_i from a point-stabilizer orbit.
-
-    If the group is transitive on the code and the stabilizer of a
-    codeword alpha is transitive on Gamma_i(alpha) cap C_i, the group is
-    transitive on C_i.  Both orbit computations are recorded.
-    """
-    if alpha is None:
-        alpha = code.words[0]
-    anchor = "regularity/transitivity-by-stabilizer"
-    code_orbit = orbit_of(alpha, group.generators)
-    if code_orbit != set(code.words):
-        return Certificate(
-            "the group is not transitive on the code",
-            anchor,
-            {
-                "orbit_size": len(code_orbit),
-                "code_size": code.size,
-            },
-            FAIL,
-        )
-    stabilizer = vertex_stabilizer(group, alpha)
-    cells = code.distance_partition().cells
-    if not 0 <= cell < len(cells):
-        raise ValueError(f"cell index {cell} out of range 0..{len(cells) - 1}")
-    cell_set = set(cells[cell])
-    slice_masks = sorted(
-        alpha ^ off for off in ksubset_masks(code.length, cell) if alpha ^ off in cell_set
-    )
-    witness = {
-        "cell": cell,
-        "alpha": format_mask(alpha, code.length),
-        "code_orbit_size": len(code_orbit),
-        "stabilizer_order": stabilizer.order,
-        "slice_size": len(slice_masks),
-    }
-    if cell == 0 or not slice_masks:
-        witness["slice_orbit_count"] = 0 if not slice_masks else 1
-        return Certificate(
-            "transitivity on the cell holds trivially",
-            anchor,
-            witness,
-            PASS,
-        )
-    seen: set[int] = set()
-    orbit_count = 0
-    for start in slice_masks:
-        if start in seen:
-            continue
-        seen |= orbit_of(start, stabilizer.generators)
-        orbit_count += 1
-    witness["slice_orbit_count"] = orbit_count
-    if orbit_count == 1:
-        return Certificate(
-            "the point stabilizer is transitive on its sphere slice of the "
-            "cell, so the group is transitive on the whole cell",
-            anchor,
-            witness,
-            PASS,
-        )
-    return Certificate(
-        "the point stabilizer splits the sphere slice of the cell",
-        anchor,
         witness,
         FAIL,
     )

@@ -6,10 +6,9 @@ with S_m).  This module provides the group arithmetic, stabilizer
 chains (deterministic Schreier–Sims: exact order and membership, with
 an element budget on the order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
-pruning, vertex stabilizers by Schreier's lemma, full code automorphism
-groups, and the search for a coordinate permutation carrying one code
-onto another.  Every group is held as generators and a stabilizer
-chain.
+pruning, full code automorphism groups, and the search for a
+coordinate permutation carrying one code onto another.  Every group is
+held as generators and a stabilizer chain.
 
 Composition convention, fixed globally: ``compose(x, y)`` means "apply
 x first, then y", matching right-action exponent notation.
@@ -23,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .certs import ResourceBudgetError
 from .codes import Code
-from .hamming import LengthError, format_mask, ksubset_masks, parse_mask
+from .hamming import LengthError, format_mask, parse_mask
 
 DEFAULT_ELEMENT_BUDGET = 10**6
 # the most generators a replayed group witness may list; the producer
@@ -288,43 +287,21 @@ def orbit_of(start: int, gens: Sequence[GraphAutomorphism]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def orbits(
-    group: GroupHandle, domain: Iterable[int] | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Partition of the domain into orbits under the generators.
+def orbits(group: GroupHandle) -> tuple[tuple[int, ...], ...]:
+    """Partition of all 2^m vertices into orbits under the generators.
 
-    Default domain is all 2^m vertices.  Deterministic output: orbits
-    are listed by ascending least element (which is the representative)
-    and each orbit is sorted.  The domain must be invariant.
+    Deterministic output: orbits are listed by ascending least element
+    (which is the representative) and each orbit is sorted.
     """
-    if domain is None:
-        domain_list = list(range(1 << group.length))
-    else:
-        domain_list = sorted(set(domain))
-    domain_set = set(domain_list)
     seen: set[int] = set()
     result = []
-    for start in domain_list:
+    for start in range(1 << group.length):
         if start in seen:
             continue
         orbit = orbit_of(start, group.generators)
-        if not orbit <= domain_set:
-            stray = min(orbit - domain_set)
-            raise ValueError(f"domain is not invariant: reached {stray:#x}")
         seen |= orbit
         result.append(tuple(sorted(orbit)))
     return tuple(result)
-
-
-def orbits_on_ksubsets(group: GroupHandle, k: int) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of all k-subsets under the induced permutation action.
-
-    Every generator must be a pure permutation (zero flip mask).
-    """
-    for g in group.generators:
-        if g.flips:
-            raise ValueError(f"generator has a nonzero translation: {g}")
-    return orbits(group, domain=ksubset_masks(group.length, k))
 
 
 # ---------------------------------------------------------------------------
@@ -582,37 +559,6 @@ def code_automorphism_group(
         if image != set(code.words):
             raise AssertionError("generator does not stabilize the code")
     return GroupHandle(m, generators, closed.chain)
-
-
-def vertex_stabilizer(group: GroupHandle, mask: int) -> GroupHandle:
-    """The subgroup of a closed group fixing one vertex, by Schreier's
-    lemma.
-
-    With u_v carrying ``mask`` to v along the orbit, the Schreier
-    generators u_v * g * u_(v^g)^-1 generate the stabilizer.  They are
-    sifted into a chain and the ones it accepts are kept; none is formed
-    once the chain reaches |G| / |orbit|.
-    """
-    m, gens = group.length, group.generators
-    orbit, transversal = [mask], {mask: identity(m)}
-    for v in orbit:
-        for g in gens:
-            w = apply_mask(g, v)
-            if w not in transversal:
-                transversal[w] = compose(transversal[v], g)
-                orbit.append(w)
-    target = group.order // len(orbit)
-    chain = StabilizerChain(m)
-    schreier = (
-        compose(compose(u, g), inverse(transversal[apply_mask(g, v)]))
-        for v, u in transversal.items()
-        for g in gens
-        if chain.order < target
-    )
-    kept = [s for s in schreier if chain.add(s)]
-    if chain.order != target:
-        raise AssertionError("the Schreier generators do not reach |G| / |orbit|")
-    return GroupHandle(m, tuple(kept), chain)
 
 
 def find_equivalence(c1: Code, c2: Code) -> GraphAutomorphism | None:

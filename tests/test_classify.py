@@ -440,6 +440,18 @@ def test_replay_rejects_edited_witnesses(report11, anchor, edit):
     assert not ok, detail
 
 
+@pytest.mark.parametrize("count", [True, 1.0, "1"])
+def test_replay_takes_the_class_count_only_as_an_int(report11, count):
+    # the count is the one fact the replay takes as recorded; True and 1.0
+    # equal 1 in Python, so rebuilding the step alone would pass them
+    tampered = json.loads(report_json(report11))
+    anchor = "classification/design-uniqueness"
+    step = next(s for s in tampered["steps"] if s["anchor"] == anchor)
+    step["witness"]["class_count"] = count
+    _, ok, detail = next(r for r in verify_report(tampered) if r[0] == anchor)
+    assert not ok and "is not an int" in detail
+
+
 def _leaf_edits(node, path=()):
     """Every single-node edit of a JSON value: each int bumped, string
     altered, bool flipped and non-empty list shortened, as (path, value)."""

@@ -273,26 +273,31 @@ def test_analyze_refuses_a_pair_walk_over_budget(workdir):
     assert "pair budget" in result.stderr
 
 
-# replays a report with the field at a dotted path set to a JSON value,
-# printing the results and the replay's own seconds as JSON
+# replays a report once per edit, each edit setting the field at a dotted
+# path (list items by index) of a fresh copy to a JSON value, and prints
+# each replay's results and its own seconds as JSON
 _REPLAY_EDITED = """
-import json, sys, time
+import copy, json, sys, time
 from cregcert.classify import verify_report
-report = json.loads(open(sys.argv[1]).read())
-*keys, last = sys.argv[2].split(".")
-target = report
-for key in keys:
-    target = target[key]
-target[last] = json.loads(sys.argv[3])
-started = time.perf_counter()
-results = verify_report(report)
-print(json.dumps([results, time.perf_counter() - started]))
+genuine = json.loads(open(sys.argv[1]).read())
+replays = []
+for dotted, value in json.loads(sys.argv[2]):
+    report = copy.deepcopy(genuine)
+    *keys, last = dotted.split(".")
+    target = report
+    for key in keys:
+        target = target[int(key) if isinstance(target, list) else key]
+    target[int(last) if isinstance(target, list) else last] = value
+    started = time.perf_counter()
+    results = verify_report(report)
+    replays.append([results, time.perf_counter() - started])
+print(json.dumps(replays))
 """
 
 
-def _replay_edited(path, field: str, value) -> tuple[list, float]:
+def _replay_edits(path, edits) -> list:
     result = subprocess.run(
-        [sys.executable, "-c", _REPLAY_EDITED, str(path), field, json.dumps(value)],
+        [sys.executable, "-c", _REPLAY_EDITED, str(path), json.dumps(edits)],
         capture_output=True,
         text=True,
         preexec_fn=_limit_address_space,
@@ -300,6 +305,11 @@ def _replay_edited(path, field: str, value) -> tuple[list, float]:
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+def _replay_edited(path, field: str, value) -> tuple[list, float]:
+    (replay,) = _replay_edits(path, [(field, value)])
+    return replay
 
 
 @pytest.mark.parametrize("field", ["length", "min_distance"])
@@ -325,6 +335,56 @@ def test_replay_of_a_tampered_size_bound_is_bounded(workdir, classify11_report, 
     results, seconds = _replay_edited(workdir / "report11.json", "size_bound", value)
     assert results[0][:2] == ["classification/size-bound", False]
     assert seconds < 1.0
+
+
+def test_replay_of_a_far_block_point_is_bounded(workdir, classify11_report):
+    # a point is a shift count: 10^9 built a 125 MB mask, and took 2 s,
+    # before the design check refused it
+    anchor = "classification/design-uniqueness"
+    i = [s["anchor"] for s in classify11_report["steps"]].index(anchor)
+    results, seconds = _replay_edited(
+        workdir / "report11.json", f"steps.{i}.witness.representative_blocks.0.0", 10**9
+    )
+    assert results[i][:2] == [anchor, False]
+    assert "block point" in results[i][2]
+    assert seconds < 1.0
+
+# the values each edited leaf takes: wrong types, out-of-range numbers,
+# empty containers
+_EDIT_VALUES = [None, "x", -1, 10**9, 2.5, [], {}, True]
+
+
+def _leaves(node, path=()):
+    """(dotted path, value) of each leaf: every step, and the first three
+    items of every other list."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node if path == ("steps",) else node[:3])
+    else:
+        yield ".".join(map(str, path)), node
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+def test_a_seeded_sample_of_leaf_edits_fails_a_step(workdir, classify11_report):
+    # 24 of the report's leaf edits (no step reads runtime_seconds), in
+    # one child under the address-space cap: no exception may escape the
+    # replay, every edited report must fail a step, and each replay is bounded
+    edits = [
+        (path, value)
+        for path, leaf in _leaves(classify11_report)
+        if path != "runtime_seconds"
+        for value in _EDIT_VALUES
+        if json.dumps(value) != json.dumps(leaf)
+    ]
+    sample = random.Random(0).sample(edits, 24)
+    replays = _replay_edits(workdir / "report11.json", sample)
+    assert len(replays) == len(sample)
+    for edit, (results, seconds) in zip(sample, replays):
+        assert not all(ok for _, ok, _ in results), edit
+        assert seconds < 2.0, edit
 
 
 def test_aut_small_code(workdir):
@@ -362,6 +422,22 @@ def test_certify_ct_rejects_generators_of_another_degree(workdir, code12_file):
     )
     assert result.returncode == 2
     assert "degree 11" in result.stderr
+
+
+def test_certify_ct_names_a_generator_that_moves_the_code(workdir, code12_file):
+    # flipping coordinate 1 sends the zero word off the code; the text
+    # names the generator and its stray image instead of empty partitions
+    gen_path = workdir / "flip1.gens"
+    gen_path.write_text("100000000000|1 2 3 4 5 6 7 8 9 10 11 12\n")
+    result = run_cli(
+        "certify", str(code12_file), "ct", "--generators", str(gen_path)
+    )
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        "completely transitive: FAIL",
+        "generator:   100000000000|1 2 3 4 5 6 7 8 9 10 11 12",
+        "stray image: 100000000000",
+    ]
 
 
 def test_certify_ct_holds_the_generator_file_to_its_budget(workdir, code11_file):

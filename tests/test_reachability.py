@@ -6,31 +6,22 @@ attribute), so two definitions that share a name are reached together;
 a function's own locals do not count.  A method is reached only by an
 attribute of its name (``x.compose``, not ``compose(...)``), and a
 reached class reaches its dunder methods.  The roots are the CLI, the
-report steps and the replay:
+report steps and the replay, and nothing else:
 
 - ``cli.main``, ``verify_report``, ``classify`` and ``certify_theorem``;
 - every function a package decorator registers (``@_step(...)``), and
-  every name used at module level (tables such as ``_READERS``);
-- every name ``tests/test_acceptance.py`` imports from the package;
-- ``transitivity_by_stabilizer``, which states the slice lemma that the
-  complete-transitivity certificate is to call.
+  every name used at module level (tables such as ``_READERS``).
 
-What nothing reaches is code kept only for its unit tests.
+What nothing reaches is code kept only for its tests; a second route a
+test needs lives in ``tests/oracles.py``.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cregcert"
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
-ROOTS = {
-    "main",
-    "verify_report",
-    "classify",
-    "certify_theorem",
-    "transitivity_by_stabilizer",
-}
+ROOTS = {"main", "verify_report", "classify", "certify_theorem"}
 
 
 def _names(nodes) -> set[str]:
@@ -74,7 +65,7 @@ def _header(node) -> list:
     return node.decorator_list + node.args.defaults + node.args.kw_defaults
 
 
-def reachability(src: Path = SRC, acceptance: Path = ACCEPTANCE):
+def reachability(src: Path = SRC):
     """(reached, unreached): qualified names of the package's functions,
     classes and methods."""
     defs = {}  # qualified name -> (what reaches it, uses when reached)
@@ -108,10 +99,6 @@ def reachability(src: Path = SRC, acceptance: Path = ACCEPTANCE):
                 calls = [d.func for d in node.decorator_list if isinstance(d, ast.Call)]
                 registering.append((_names(calls), node.name))
     roots |= {name for used, name in registering if used & package_defs}
-    tree = ast.parse(acceptance.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module.startswith("cregcert"):
-            roots |= {alias.name for alias in node.names}
 
     reached_names, frontier = set(), set(roots)
     while frontier:
@@ -144,11 +131,9 @@ DEFAULTED_PARAMETERS = {
     "cli.main(argv)",
     "designs._image_greater_exists(node_budget)",
     "designs.blocks_are_canonical(node_budget)",
-    "regularity.transitivity_by_stabilizer(alpha)",
     "symmetry.StabilizerChain.__init__(generators)",
     "symmetry.StabilizerChain.sift(start)",
     "symmetry.closure(budget)",
-    "symmetry.orbits(domain)",
     "symmetry._FamilyMatcher.search(prefix)",
     "symmetry.setwise_stabilizer_perms(element_budget)",
     "symmetry.code_automorphism_group(element_budget)",

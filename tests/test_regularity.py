@@ -5,9 +5,9 @@ from cregcert.regularity import (
     certify_completely_regular,
     certify_completely_transitive,
     outer_distribution,
-    transitivity_by_stabilizer,
 )
-from cregcert.symmetry import closure, orbit_of, orbits, vertex_stabilizer
+from cregcert.symmetry import closure, orbit_of, orbits
+from oracles import transitivity_by_stabilizer, vertex_stabilizer
 
 
 def test_outer_distribution_rows(code12):

@@ -32,8 +32,8 @@ from cregcert.symmetry import (
     identity,
     parse_automorphism,
     setwise_stabilizer_perms,
-    vertex_stabilizer,
 )
+from oracles import vertex_stabilizer
 
 
 def literal_permutation(x: GraphAutomorphism) -> tuple[int, ...]:

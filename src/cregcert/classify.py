@@ -41,7 +41,6 @@ from .regularity import (
 )
 from .spectral import macwilliams_transform
 from .symmetry import (
-    DEFAULT_ELEMENT_BUDGET,
     GENERATOR_BUDGET,
     GraphAutomorphism,
     GroupHandle,
@@ -133,11 +132,8 @@ class _Inputs:
     an output that was never set fails the step that reads it.
     """
 
-    def __init__(
-        self, m, delta, size_bound=None, element_budget: int = DEFAULT_ELEMENT_BUDGET
-    ):
+    def __init__(self, m, delta, size_bound=None):
         self.m, self.delta, self.size_bound = m, delta, size_bound
-        self.element_budget = element_budget
         self.rejected = ""  # why the last witnessed output was refused
 
     def __getattr__(self, name: str):
@@ -505,7 +501,7 @@ def _search_sigma(p: _Inputs) -> None:
 
 
 def _search_group(p: _Inputs) -> None:
-    p.group = code_automorphism_group(p.reference, p.element_budget)
+    p.group = code_automorphism_group(p.reference)
 
 
 def _read_design(p: _Inputs, witness: dict) -> None:
@@ -558,7 +554,7 @@ def _read_group(p: _Inputs, witness: dict) -> None:
     words = set(p.reference.words)
     if any({apply_mask(g, w) for w in words} != words for g in gens):
         raise _Mismatch("a generator does not stabilize the reference code")
-    chain = closure(gens, p.m, budget=p.element_budget).chain
+    chain = closure(gens, p.m).chain
     if chain.order != witness["order"]:
         raise _Mismatch(f"closure order {chain.order} != {witness['order']}")
     p.group = GroupHandle(p.m, gens, chain)
@@ -606,15 +602,13 @@ def classify(m: int, delta: int, size_bound: int | None = None) -> Classificatio
     )
 
 
-def certify_theorem(
-    m: int, delta: int, element_budget: int = DEFAULT_ELEMENT_BUDGET
-) -> list[Certificate]:
+def certify_theorem(m: int, delta: int) -> list[Certificate]:
     """Certify that the reference code is completely regular and
     completely transitive, with the exact order of its symmetry group
     from a stabilizer chain, and that the properties survive conjugation
     by a graph automorphism."""
     _check_supported(m, delta)
-    p = _Inputs(m, delta, element_budget=element_budget)
+    p = _Inputs(m, delta)
     return [_produce(p, anchor) for anchor in THEOREM]
 
 
@@ -739,7 +733,7 @@ def _chain_faults(report: dict, steps: list, anchors: list, m: int) -> list[list
     return faults
 
 
-def verify_report(report: dict, element_budget: int = DEFAULT_ELEMENT_BUDGET):
+def verify_report(report: dict):
     """Replay a report: rebuild each certificate from the report's
     parameters and its witnessed search outputs, then compare.
 
@@ -751,9 +745,9 @@ def verify_report(report: dict, element_budget: int = DEFAULT_ELEMENT_BUDGET):
     not write, fails on its first step.  Parameters that are not a
     supported (length, min_distance) pair of ints fail every step before
     any witness is read, since readers and builders loop over both.  No
-    search is re-run; ``element_budget`` bounds the order of any group
-    the replay builds.  Malformed input yields failed triples, never an
-    exception.
+    search is re-run, and every group the replay builds is held to
+    ``symmetry.ELEMENT_BUDGET``.  Malformed input yields failed triples,
+    never an exception.
     """
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != SCHEMA:
@@ -769,7 +763,7 @@ def verify_report(report: dict, element_budget: int = DEFAULT_ELEMENT_BUDGET):
     if type(m) is not int or type(delta) is not int or (m, delta) not in SUPPORTED:
         detail = f"no classification chain for parameters ({m!r}, {delta!r})"
         return [(anchor, False, detail) for anchor in anchors]
-    p = _Inputs(m, delta, report.get("size_bound"), element_budget)
+    p = _Inputs(m, delta, report.get("size_bound"))
     step_faults = _chain_faults(report, steps, anchors, m)
     step_faults[0][:0] = _field_faults(report)  # report-level faults show on step one
     results = []

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: construct, analyze, certify, classify, enumerate-designs,
-aut.  All take ``--out``; analyze, certify and classify ``--report``;
-``certify FILE ct``, classify and aut ``--element-budget``.  Certify's
-options follow its mode.  Exit codes: 0 when every certificate passes,
-1 when a certificate fails, 2 for usage or I/O errors.  Reports are
-deterministic given the same inputs and configuration.
+aut.  All take ``--out``; analyze, certify and classify ``--report``.
+Certify's options follow its mode.  Group orders are held to
+``symmetry.ELEMENT_BUDGET``, which no option changes.  Exit codes: 0
+when every certificate passes, 1 when a certificate fails, 2 for usage
+or I/O errors.  Reports are deterministic given the same inputs and
+configuration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .hadamard import paley_hadamard_12
 from .regularity import certify_completely_regular, certify_completely_transitive
 from .spectral import certify_uniformly_packed, external_distance, macwilliams_transform
 from .symmetry import (
-    DEFAULT_ELEMENT_BUDGET,
     GENERATOR_BUDGET,
     GroupHandle,
     ResourceBudgetError,
@@ -51,21 +51,9 @@ def _load_code(path: str) -> Code:
         return Code.from_text(fh.read())
 
 
-def _element_budget(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 _OPTIONS = {
     "--out": {"help": "output file (default: standard output)"},
     "--report": {"help": "write a JSON report to this path"},
-    "--element-budget": {
-        "type": _element_budget,
-        "default": DEFAULT_ELEMENT_BUDGET,
-        "help": "maximum group order before aborting",
-    },
 }
 
 
@@ -182,7 +170,7 @@ def cmd_certify(args) -> int:
             gens = tuple(parse_automorphism(ln) for ln in lines)
             group = GroupHandle(code.length, gens)
         else:
-            group = code_automorphism_group(code, args.element_budget)
+            group = code_automorphism_group(code)
         cert = certify_completely_transitive(code, group)
         lines = [f"completely transitive: {cert.verdict}"]
         if "stray_image" in cert.witness:  # a generator moves the code
@@ -206,11 +194,7 @@ def cmd_certify(args) -> int:
 def cmd_classify(args) -> int:
     started = time.monotonic()
     run = classify(args.length, args.min_distance, args.size_bound)
-    theorem = (
-        certify_theorem(args.length, args.min_distance, args.element_budget)
-        if run.passed
-        else []
-    )
+    theorem = certify_theorem(args.length, args.min_distance) if run.passed else []
     runtime = round(time.monotonic() - started, 3)
     report = build_report(run, theorem, runtime_seconds=runtime)
     lines = [f"{c['anchor']}: {c['verdict']}" for c in report["steps"]]
@@ -239,7 +223,7 @@ def cmd_enumerate_designs(args) -> int:
 
 def cmd_aut(args) -> int:
     code = _load_code(args.codefile)
-    group = code_automorphism_group(code, args.element_budget)
+    group = code_automorphism_group(code)
     lines = [
         f"order: {group.order}",
         f"generators: {len(group.generators)}",
@@ -280,14 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(which.add_parser("creg"), "--out", "--report")
     q = which.add_parser("ct")
     q.add_argument("--generators", help="generator file for the ct certifier")
-    _add_options(q, "--out", "--report", "--element-budget")
+    _add_options(q, "--out", "--report")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("classify", help="replay the uniqueness classification")
     p.add_argument("length", type=int)
     p.add_argument("min_distance", type=int)
     p.add_argument("--size-bound", type=int, default=None)
-    _add_options(p, "--out", "--report", "--element-budget")
+    _add_options(p, "--out", "--report")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate-designs", help="isomorph-free design enumeration")
@@ -300,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group of a code file")
     p.add_argument("codefile")
-    _add_options(p, "--out", "--element-budget")
+    _add_options(p, "--out")
     p.set_defaults(func=cmd_aut)
 
     return parser

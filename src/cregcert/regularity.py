@@ -5,7 +5,8 @@ distribution f_k(nu) = |Gamma_k(nu) cap C| of every vertex and checking
 each row is constant on its distance-partition cell; the resulting
 intersection table is the certificate.  Complete transitivity is
 decided by direct orbit computation: a group stabilizing the code must
-have exactly the partition cells as vertex orbits.
+have exactly the partition cells as vertex orbits, each orbit's vertices
+sharing one entry of the scan's cell index.
 """
 
 from __future__ import annotations
@@ -119,16 +120,17 @@ def certify_completely_transitive(code: Code, group: GroupHandle) -> Certificate
                 },
                 FAIL,
             )
-    cells = code.distance_partition().cells
+    cell_index = outer_distribution(code).cell_index
+    cell_sizes = [cell_index.count(i) for i in range(max(cell_index) + 1)]
     orbit_partition = orbits(group)
-    cell_sets = [set(c) for c in cells]
-    orbit_sets = [set(o) for o in orbit_partition]
-    matches = all(o in cell_sets for o in orbit_sets) and len(orbit_sets) == len(
-        cell_sets
+    # every cell is nonempty, so as many orbits as cells, each inside one
+    # cell, means each cell is one orbit
+    matches = len(orbit_partition) == len(cell_sizes) and all(
+        len({cell_index[v] for v in o}) == 1 for o in orbit_partition
     )
     witness = {
         "orbit_sizes": sorted(len(o) for o in orbit_partition),
-        "cell_sizes": [len(c) for c in cells],
+        "cell_sizes": cell_sizes,
         "orbit_representatives": [
             format_mask(o[0], code.length) for o in orbit_partition
         ],

@@ -3,8 +3,8 @@
 An automorphism is a coordinate-flip mask followed by a coordinate
 permutation (the full group is the semidirect product of the 2^m flips
 with S_m).  This module provides the group arithmetic, stabilizer
-chains (deterministic Schreier–Sims: exact order and membership, with
-an element budget on the order), orbit computations, setwise
+chains (deterministic Schreier–Sims: exact order and membership, every
+chain held to ``ELEMENT_BUDGET`` on its order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
 pruning, full code automorphism groups, and the search for a
 coordinate permutation carrying one code onto another.  Every group is
@@ -24,7 +24,9 @@ from .certs import ResourceBudgetError
 from .codes import Code
 from .hamming import LengthError, format_mask, parse_mask
 
-DEFAULT_ELEMENT_BUDGET = 10**6
+# the largest group order any chain may reach; the certificates need
+# 190,080 (length 12) and 7,920 (length 11)
+ELEMENT_BUDGET = 10**6
 # the most generators a replayed group witness may list; the producer
 # lists 27 at length 12 and 26 at length 11
 GENERATOR_BUDGET = 64
@@ -102,10 +104,15 @@ def parse_automorphism(text: str) -> GraphAutomorphism:
     except ValueError:
         raise ValueError(f"expected '<mask>|<images>', got {text!r}") from None
     flips, m = parse_mask(mask_part)
-    images = tuple(int(tok) - 1 for tok in perm_part.split())
+    images = []
+    for tok in perm_part.split():
+        # int() alone would take signs, "_" and non-ASCII digits
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"invalid image {tok!r} in {perm_part!r}")
+        images.append(int(tok) - 1)
     if sorted(images) != list(range(m)):
         raise ValueError(f"not a permutation of 1..{m}: {perm_part!r}")
-    return GraphAutomorphism(flips, images)
+    return GraphAutomorphism(flips, tuple(images))
 
 
 @dataclass(frozen=True)
@@ -189,7 +196,9 @@ class StabilizerChain:
         return self.sift(x)[0] is None
 
     def add(self, x: GraphAutomorphism) -> bool:
-        """Extend the group by x; False when x is already a member."""
+        """Extend the group by x; False when x is already a member.
+        Raises ResourceBudgetError once the completed order exceeds
+        ELEMENT_BUDGET."""
         if x.degree != self.m:
             raise LengthError(f"automorphism degree {x.degree} vs chain length {self.m}")
         residue, level = self.sift(x)
@@ -207,6 +216,11 @@ class StabilizerChain:
                 residue, level = found
                 self._insert(residue, i + 1, level)
                 i = level
+        if self.order > ELEMENT_BUDGET:
+            raise ResourceBudgetError(
+                f"group order {self.order} exceeds the element budget "
+                f"of {ELEMENT_BUDGET}"
+            )
         return True
 
     def _insert(self, x: GraphAutomorphism, first: int, last: int) -> None:
@@ -256,20 +270,14 @@ class StabilizerChain:
         return None
 
 
-def closure(
-    gens: Iterable[GraphAutomorphism], m: int, budget: int = DEFAULT_ELEMENT_BUDGET
-) -> GroupHandle:
+def closure(gens: Iterable[GraphAutomorphism], m: int) -> GroupHandle:
     """The subgroup of length ``m`` generated by the given automorphisms,
-    as a stabilizer chain: exact order and membership.
-
-    Raises ResourceBudgetError when the order exceeds ``budget``.
+    as a stabilizer chain: exact order and membership.  The chain raises
+    ResourceBudgetError past ELEMENT_BUDGET.
     """
     e = identity(m)
     gens = tuple(g for g in dict.fromkeys(gens) if g != e)
-    chain = StabilizerChain(m, gens)
-    if chain.order > budget:
-        raise ResourceBudgetError(f"closure exceeded the element budget of {budget}")
-    return GroupHandle(m, gens, chain)
+    return GroupHandle(m, gens, StabilizerChain(m, gens))
 
 
 def orbit_of(start: int, gens: Sequence[GraphAutomorphism]) -> frozenset[int]:
@@ -429,7 +437,7 @@ def find_family_isomorphism(
     return next(_FamilyMatcher(src, dst, m).search(), None)
 
 
-def _family_stabilizer_chain(family: Sequence[int], m: int, budget: int):
+def _family_stabilizer_chain(family: Sequence[int], m: int):
     """The chain of the permutations preserving the family, from the last
     base point down: with the chain at the stabilizer of points 0..d, each
     image of point d outside its level-d orbit gets one search for an
@@ -445,10 +453,6 @@ def _family_stabilizer_chain(family: Sequence[int], m: int, budget: int):
             perm = next(matcher.search(tuple(range(d)) + (q,)), None)
             if perm is not None:
                 chain.add(GraphAutomorphism(0, perm))
-                if chain.order > budget:
-                    raise ResourceBudgetError(
-                        f"stabilizer exceeded the element budget of {budget}"
-                    )
         orbit_lengths.append(len(chain.transversal[d]))
     if prod(orbit_lengths) != chain.order:
         raise AssertionError("a searched level's orbit grew afterwards")
@@ -497,22 +501,19 @@ def _greedy_generators(group: StabilizerChain) -> list[GraphAutomorphism]:
     return gens
 
 
-def setwise_stabilizer_perms(
-    family: Sequence[int],
-    m: int,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> GroupHandle:
+def setwise_stabilizer_perms(family: Sequence[int], m: int) -> GroupHandle:
     """The coordinate permutations preserving the block family setwise, as
     the backtracking chain and reduced generators.
 
-    Base-point backtracking gives the chain and its exact order, held to
-    the element budget.  The generators are chosen greedily
+    Base-point backtracking gives the chain and its exact order; the
+    chain stops the search once the order passes ELEMENT_BUDGET, before
+    any generator is chosen.  The generators are chosen greedily
     (``_greedy_generators``), which keeps only sets that reach the
     chain's order; each is checked to map the family onto itself.
     """
     if not family:
         raise ValueError("the block family must be nonempty")
-    group = _family_stabilizer_chain(family, m, element_budget)
+    group = _family_stabilizer_chain(family, m)
     gens = _greedy_generators(group)
     blocks = set(family)
     if any({permute_mask(g.perm, b) for b in blocks} != blocks for g in gens):
@@ -520,9 +521,7 @@ def setwise_stabilizer_perms(
     return GroupHandle(m, tuple(gens), group)
 
 
-def code_automorphism_group(
-    code: Code, element_budget: int = DEFAULT_ELEMENT_BUDGET
-) -> GroupHandle:
+def code_automorphism_group(code: Code) -> GroupHandle:
     """The setwise stabilizer of the code in the graph automorphism group.
 
     Computed as: the permutation stabilizer of the (zero-shifted) word
@@ -534,7 +533,7 @@ def code_automorphism_group(
     m = code.length
     base = code.words[0]
     family = tuple(w ^ base for w in code.words)
-    stab = setwise_stabilizer_perms(family, m, element_budget)
+    stab = setwise_stabilizer_perms(family, m)
 
     transversals: list[GraphAutomorphism] = []
     for beta in family[1:]:
@@ -551,7 +550,7 @@ def code_automorphism_group(
     shift = GraphAutomorphism(base, tuple(range(m)))
     gens = stab.generators + tuple(transversals)
     generators = tuple(compose(compose(shift, x), shift) for x in gens)
-    closed = closure(generators, m, budget=element_budget)
+    closed = closure(generators, m)
     if closed.order != stab.order * len(orbit_of(base, generators)):
         raise AssertionError("closure order is not stabilizer order times orbit length")
     for g in generators:

@@ -1,9 +1,21 @@
 import pytest
 
+from cregcert import symmetry
 from cregcert.classify import build_report, certify_theorem, classify
 from cregcert.designs import enumerate_designs
 from cregcert.hadamard import code_of, paley_hadamard_12
 from cregcert.symmetry import code_automorphism_group, setwise_stabilizer_perms
+
+
+@pytest.fixture
+def element_budget(monkeypatch):
+    """Sets ``symmetry.ELEMENT_BUDGET``, the cap on every group order, for
+    one test."""
+
+    def set_budget(value: int) -> None:
+        monkeypatch.setattr(symmetry, "ELEMENT_BUDGET", value)
+
+    return set_budget
 
 
 @pytest.fixture(scope="session")

@@ -282,13 +282,13 @@ def test_reports_are_pinned(report12, report11):
         assert digest == PINNED_REPORT_SHA256[m], f"length-{m} report bytes changed"
 
 
-def _aut_group_result(report, edit, **kwargs):
+def _aut_group_result(report, edit):
     tampered = json.loads(report_json(report))
     step = next(
         s for s in tampered["steps"] if s["anchor"] == "theorem/automorphism-group"
     )
     edit(step["witness"])
-    results = verify_report(tampered, **kwargs)
+    results = verify_report(tampered)
     return next(r for r in results if r[0] == "theorem/automorphism-group")
 
 
@@ -326,10 +326,9 @@ def test_replay_rejects_tampered_automorphism_group(report11, edit):
     assert not detail.startswith("replay error"), detail
 
 
-def test_replay_budget_fails_the_group_step(report11):
-    anchor, ok, detail = _aut_group_result(
-        report11, lambda w: None, element_budget=1000
-    )
+def test_replay_budget_fails_the_group_step(report11, element_budget):
+    element_budget(1000)
+    anchor, ok, detail = _aut_group_result(report11, lambda w: None)
     assert not ok
     assert "1000" in detail
 

@@ -424,6 +424,17 @@ def test_certify_ct_rejects_generators_of_another_degree(workdir, code12_file):
     assert "degree 11" in result.stderr
 
 
+def test_certify_ct_takes_only_ascii_decimal_images(workdir, code11_file):
+    # int() reads "+1" as 1, which made this the identity (exit 1, FAIL)
+    gen_path = workdir / "signed.gens"
+    gen_path.write_text("00000000000|+1 2 3 4 5 6 7 8 9 10 11\n")
+    result = run_cli(
+        "certify", str(code11_file), "ct", "--generators", str(gen_path)
+    )
+    assert result.returncode == 2
+    assert "'+1'" in result.stderr
+
+
 def test_certify_ct_names_a_generator_that_moves_the_code(workdir, code12_file):
     # flipping coordinate 1 sends the zero word off the code; the text
     # names the generator and its stray image instead of empty partitions
@@ -497,6 +508,9 @@ def test_certify_has_no_theorem_mode(workdir):
         ["classify", "11", "5", "--element-budget", "0"],
         ["certify", "{code}", "creg", "--generators", "gens.txt"],
         ["certify", "{code}", "creg", "--element-budget", "5"],
+        ["aut", "{code}", "--element-budget", "5"],
+        ["classify", "11", "5", "--element-budget", "5"],
+        ["certify", "{code}", "ct", "--element-budget", "5"],
     ],
 )
 def test_an_option_the_command_does_not_read_is_a_usage_error(
@@ -511,10 +525,20 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(
     assert argv[-2] in capsys.readouterr().err
 
 
-def test_aut_element_budget_is_a_usage_error(code12_file):
-    result = run_cli("aut", str(code12_file), "--element-budget", "1000")
+def test_aut_is_held_to_the_element_budget(workdir):
+    # the repetition code's group has order 2 * 12!, so the stabilizer
+    # search must stop at the budget, not reach the whole group
+    path = workdir / "repetition12.txt"
+    path.write_text("m=12\n" + "0" * 12 + "\n" + "1" * 12 + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "cregcert.cli", "aut", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=5,
+    )
     assert result.returncode == 2
-    assert "1000" in result.stderr
+    assert "1000000" in result.stderr
 
 
 def test_main_reuses_one_parser(workdir, code11_file, capsys):

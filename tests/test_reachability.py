@@ -122,21 +122,15 @@ def test_every_definition_is_reached():
 # a new option shows in this set's diff
 DEFAULTED_PARAMETERS = {
     "classify._Inputs.__init__(size_bound)",
-    "classify._Inputs.__init__(element_budget)",
     "classify.classify(size_bound)",
-    "classify.certify_theorem(element_budget)",
     "classify.build_report(theorem_certs)",
     "classify.build_report(runtime_seconds)",
-    "classify.verify_report(element_budget)",
     "cli.main(argv)",
     "designs._image_greater_exists(node_budget)",
     "designs.blocks_are_canonical(node_budget)",
     "symmetry.StabilizerChain.__init__(generators)",
     "symmetry.StabilizerChain.sift(start)",
-    "symmetry.closure(budget)",
     "symmetry._FamilyMatcher.search(prefix)",
-    "symmetry.setwise_stabilizer_perms(element_budget)",
-    "symmetry.code_automorphism_group(element_budget)",
 }
 
 
@@ -175,10 +169,10 @@ CLI_OPTIONS = {
     "analyze": {"--out", "--report"},
     "certify": set(),
     "certify creg": {"--out", "--report"},
-    "certify ct": {"--generators", "--out", "--report", "--element-budget"},
-    "classify": {"--size-bound", "--out", "--report", "--element-budget"},
+    "certify ct": {"--generators", "--out", "--report"},
+    "classify": {"--size-bound", "--out", "--report"},
     "enumerate-designs": {"--out"},
-    "aut": {"--out", "--element-budget"},
+    "aut": {"--out"},
 }
 
 

@@ -151,3 +151,27 @@ def test_stabilizer_lemma_precondition(code12):
 def test_vertex_stabilizer_orbit_on_code(code12, aut12):
     stab = vertex_stabilizer(aut12, 0)
     assert orbit_of(0, stab.generators) == {0}
+
+
+def test_complete_transitivity_reads_the_scan_cell_index(
+    code12, aut12, code11, aut11, monkeypatch
+):
+    # the witness is rebuilt on fresh codes with the 2^m-call cell tuples
+    # made unreachable; it must not change
+    expected = [
+        certify_completely_transitive(code, group).witness
+        for code, group in ((code12, aut12), (code11, aut11))
+    ]
+
+    def unreachable(self):
+        raise AssertionError("complete transitivity built the cell tuples")
+
+    monkeypatch.setattr(Code, "_cells", property(unreachable))
+    for (code, group), witness in zip(((code12, aut12), (code11, aut11)), expected):
+        cert = certify_completely_transitive(Code(code.length, code.words), group)
+        assert cert.passed
+        assert cert.witness == witness
+        # the cells counted by brute force
+        vertices = range(1 << code.length)
+        dist = [min((v ^ w).bit_count() for w in code.words) for v in vertices]
+        assert witness["cell_sizes"] == [dist.count(i) for i in range(max(dist) + 1)]

@@ -129,13 +129,26 @@ def test_chain_rejects_a_wrong_degree():
         closure([GraphAutomorphism(0, (1, 0, 2, 3)), GraphAutomorphism(1, (0, 1, 2))], 4)
 
 
-def test_closure_is_held_to_its_budget():
+def test_closure_is_held_to_its_budget(element_budget):
     cyc = GraphAutomorphism(0, tuple((i + 1) % 8 for i in range(8)))
     flip = GraphAutomorphism(1, tuple(range(8)))
+    element_budget(2047)
     with pytest.raises(ResourceBudgetError, match="2047"):
-        closure([cyc, flip], 8, budget=2047)
-    group = closure([cyc, flip], 8, budget=2048)
+        closure([cyc, flip], 8)
+    element_budget(2048)
+    group = closure([cyc, flip], 8)
     assert group.order == 2048
+
+
+def test_a_chain_grown_by_add_stops_at_the_budget(element_budget):
+    element_budget(3)
+    chain = StabilizerChain(3)
+    assert chain.add(GraphAutomorphism(0, (1, 2, 0)))
+    assert chain.order == 3
+    # the transposition completes S_3, of order 6
+    message = "order 6 exceeds the element budget of 3"
+    with pytest.raises(ResourceBudgetError, match=message):
+        chain.add(GraphAutomorphism(0, (1, 0, 2)))
 
 
 def test_chain_leaves_equality_and_hash_unchanged():
@@ -223,10 +236,12 @@ def test_stabilizer_budget_is_checked_before_listing():
         setwise_stabilizer_perms([1 << i for i in range(20)], 20)
 
 
-def test_design_group_is_held_to_the_element_budget(design12):
+def test_design_group_is_held_to_the_element_budget(design12, element_budget):
+    element_budget(7919)
     with pytest.raises(ResourceBudgetError, match="7919"):
-        setwise_stabilizer_perms(design12.blocks, 12, 7919)
-    group = setwise_stabilizer_perms(design12.blocks, 12, 7920)
+        setwise_stabilizer_perms(design12.blocks, 12)
+    element_budget(7920)
+    group = setwise_stabilizer_perms(design12.blocks, 12)
     assert group.order == 7920
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from math import comb, factorial
 
 import pytest
@@ -84,17 +85,29 @@ def test_format_parse_roundtrip():
         parse_automorphism("0101|1 1 2 3")
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [("000|+1 2 3", "+1"), ("000|1 2 \uff13", "\uff13"), ("000|0_1 2 3", "0_1")],
+    ids=["sign", "full-width", "underscore"],
+)
+def test_parse_automorphism_takes_only_ascii_decimal_images(text, token):
+    # int() reads each of these as 000|1 2 3
+    with pytest.raises(ValueError, match=re.escape(repr(token))):
+        parse_automorphism(text)
+
+
 def test_closure_trivial_and_small():
     assert closure([], 4).order == 1
     swap = GraphAutomorphism(0, (1, 0, 2))
     assert closure([swap], 3).order == 2
 
 
-def test_closure_budget_error_names_the_budget():
+def test_closure_budget_error_names_the_budget(element_budget):
     cyc = GraphAutomorphism(0, tuple((i + 1) % 8 for i in range(8)))
     flip = GraphAutomorphism(1, tuple(range(8)))
+    element_budget(37)
     with pytest.raises(ResourceBudgetError, match="37"):
-        closure([cyc, flip], 8, budget=37)
+        closure([cyc, flip], 8)
 
 
 def test_orbits_trivial_group():

@@ -4,31 +4,27 @@ A Code is an immutable, sorted, deduplicated collection of bitmasks with
 one shared length.  Everything derived from it (minimum distance,
 covering radius, distance partition and distribution) is computed
 exhaustively in exact arithmetic and cached on first use; at 2^m <= 4096
-vertices the exhaustive scan *is* the certificate.  Every vertex-level
-quantity is read from one cached scan, the outer distribution: each
-vertex's counts f_0..f_m as 16-bit fields, vertices in ascending order,
-in one ``bytes`` object.  The scan works on blocks of 2^h vertices that
-share their high bits: one table add per codeword fills its block, and
-m - h butterfly passes over whole blocks spread the counts.
+vertices the exhaustive scan *is* the certificate.  Every distance fact
+is read from one cached scan, the outer distribution: each vertex's
+counts f_0..f_m as 16-bit fields, vertices in ascending order, in one
+``bytes`` object; the distribution sums the codewords' rows.  The scan
+works on blocks of 2^h vertices that share their high bits: one table
+add per codeword fills its block, and m - h butterfly passes over whole
+blocks spread the counts.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, starmap
-from operator import xor
 
 from .certs import ResourceBudgetError
-from .hamming import check_length, format_mask, parse_mask
+from .hamming import ASCII_SPACE, check_length, format_mask, parse_mask
 
 # 16-bit fields the scan holds, 2^m * (m+1); admits every m <= 18
 SCAN_BUDGET = 1 << 23
-# codeword pairs N(N-1)/2 the distance distribution walks; admits 2^12 words
-PAIR_BUDGET = 1 << 23
 FIELD_BITS = 16
 # low bits of a scan block: a block holds the rows of 2^h vertices
 MAX_BLOCK_BITS = 6
@@ -78,15 +74,6 @@ class Code:
     def size(self) -> int:
         return len(self.words)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._word_set
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Code)
@@ -100,19 +87,16 @@ class Code:
     def __repr__(self) -> str:
         try:
             delta = self.min_distance if self.size >= 2 else None
-        except ResourceBudgetError:  # too many pairs: repr must not raise
+        except ResourceBudgetError:  # past the scan budget: repr must not raise
             delta = None
         return f"Code(m={self.length}, N={self.size}, delta={delta})"
-
-    @cached_property
-    def _word_set(self) -> frozenset[int]:
-        return frozenset(self.words)
 
     # ---- parameters -----------------------------------------------------
 
     @cached_property
     def min_distance(self) -> int:
-        """Smallest distance between distinct codewords (needs N >= 2)."""
+        """Smallest distance between distinct codewords (needs N >= 2): the
+        least i > 0 with a_i > 0, so past length 18 the scan budget refuses it."""
         if self.size < 2:
             raise ValueError("minimum distance undefined for a single-word code")
         return next(i for i, a in enumerate(self.distance_distribution) if i and a)
@@ -156,17 +140,18 @@ class Code:
         return OuterDistribution(m, data, _lowest_nonzero_fields(data, m))
 
     def distance_to(self, mask: int) -> int:
+        # with _cells, read only by analyze's cell sizes and the benchmark's
+        # tracer; both can go once those read the scan's cell index
         return self.outer_distribution.cell_index[mask]
 
     @cached_property
     def covering_radius(self) -> int:
-        """Exhaustive maximum of d(gamma, C) over all 2^m vertices."""
-        return len(self._cells) - 1
+        """max over all 2^m vertices of d(gamma, C): the largest cell index."""
+        return max(self.outer_distribution.cell_index)
 
     @cached_property
     def _cells(self) -> tuple[tuple[int, ...], ...]:
-        rho = max(self.outer_distribution.cell_index)
-        buckets: list[list[int]] = [[] for _ in range(rho + 1)]
+        buckets: list[list[int]] = [[] for _ in range(self.covering_radius + 1)]
         for mask in range(1 << self.length):
             buckets[self.distance_to(mask)].append(mask)
         return tuple(tuple(b) for b in buckets)
@@ -176,14 +161,10 @@ class Code:
 
     @cached_property
     def distance_distribution(self) -> tuple[Fraction, ...]:
-        """a_i = ordered codeword pairs at distance i, divided by N: one walk
-        over at most PAIR_BUDGET unordered pairs, which also gives min_distance."""
-        n = self.size
-        if n * (n - 1) // 2 > PAIR_BUDGET:
-            raise ResourceBudgetError(f"{n} codewords exceed the pair budget")
-        pairs = Counter(map(int.bit_count, starmap(xor, combinations(self.words, 2))))
-        ks = range(1, self.length + 1)
-        return (Fraction(1),) + tuple(Fraction(2 * pairs[k], n) for k in ks)
+        """a_i = sum over codewords c of f_i(c), divided by N: the ordered
+        codeword pairs at distance i per word, summed from the scan's rows."""
+        rows = map(self.outer_distribution.row, self.words)
+        return tuple(Fraction(sum(column), self.size) for column in zip(*rows))
 
     def weight_class(self, k: int) -> tuple[int, ...]:
         """All codewords of weight exactly k."""
@@ -193,7 +174,7 @@ class Code:
 
     def is_antipodal(self) -> bool:
         full = (1 << self.length) - 1
-        return all((full ^ w) in self._word_set for w in self.words)
+        return {full ^ w for w in self.words} == set(self.words)
 
     # ---- derived codes --------------------------------------------------
 
@@ -225,14 +206,16 @@ class Code:
         length = None
         words = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
+            line = raw.strip(ASCII_SPACE)
             if not line or line.startswith("#"):
                 continue
             if length is None:
-                if not line.startswith("m="):
+                # int() alone would take signs, "_", spaces and non-ASCII digits
+                digits = line[2:]
+                if not (line.startswith("m=") and digits.isascii() and digits.isdigit()):
                     raise CodeFormatError("expected header 'm=<int>'", lineno)
                 try:
-                    length = int(line[2:])
+                    length = int(digits)
                     check_length(length)
                 except ValueError as exc:
                     raise CodeFormatError(str(exc), lineno) from None

@@ -12,6 +12,8 @@ from __future__ import annotations
 from typing import Iterator
 
 MAX_LENGTH = 24
+# bytes.isspace(); str.strip() and str.split() also take U+3000, U+00A0, ...
+ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
 class LengthError(ValueError):

@@ -74,7 +74,7 @@ class RegularityCertificate:
 def certify_completely_regular(code: Code) -> RegularityCertificate:
     dist = outer_distribution(code)
     cells, data, stride = dist.cell_index, dist.data, dist.row_bytes
-    rho = max(cells)
+    rho = code.covering_radius
     # each cell's reference row is the row of its least vertex; the scan
     # is compared whole against the reference rows laid out by cell
     least = [cells.index(i) for i in range(rho + 1)]
@@ -121,7 +121,7 @@ def certify_completely_transitive(code: Code, group: GroupHandle) -> Certificate
                 FAIL,
             )
     cell_index = outer_distribution(code).cell_index
-    cell_sizes = [cell_index.count(i) for i in range(max(cell_index) + 1)]
+    cell_sizes = [cell_index.count(i) for i in range(code.covering_radius + 1)]
     orbit_partition = orbits(group)
     # every cell is nonempty, so as many orbits as cells, each inside one
     # cell, means each cell is one orbit

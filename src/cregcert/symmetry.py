@@ -16,13 +16,14 @@ x first, then y", matching right-action exponent notation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .certs import ResourceBudgetError
 from .codes import Code
-from .hamming import LengthError, format_mask, parse_mask
+from .hamming import ASCII_SPACE, LengthError, format_mask, parse_mask
 
 # the largest group order any chain may reach; the certificates need
 # 190,080 (length 12) and 7,920 (length 11)
@@ -100,13 +101,14 @@ def format_automorphism(x: GraphAutomorphism) -> str:
 
 def parse_automorphism(text: str) -> GraphAutomorphism:
     try:
-        mask_part, perm_part = text.strip().split("|")
+        mask_part, perm_part = text.strip(ASCII_SPACE).split("|")
     except ValueError:
         raise ValueError(f"expected '<mask>|<images>', got {text!r}") from None
     flips, m = parse_mask(mask_part)
     images = []
-    for tok in perm_part.split():
-        # int() alone would take signs, "_" and non-ASCII digits
+    # tokens split at ASCII whitespace only, so a non-ASCII space stays
+    # inside its token; int() alone would take signs, "_" and non-ASCII digits
+    for tok in re.findall(f"[^{ASCII_SPACE}]+", perm_part):
         if not (tok.isascii() and tok.isdigit()):
             raise ValueError(f"invalid image {tok!r} in {perm_part!r}")
         images.append(int(tok) - 1)

@@ -4,6 +4,7 @@ import random
 import resource
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -257,9 +258,9 @@ def test_analyze_refuses_a_one_word_scan_over_budget(workdir):
     assert "scan budget" in result.stderr
 
 
-def test_analyze_refuses_a_pair_walk_over_budget(workdir):
-    # the scan admits the full space of length 15, but its 5.4e8 codeword
-    # pairs would take about a minute to walk
+def test_analyze_admits_the_full_length_15_space(workdir):
+    # 5.4e8 codeword pairs: the distribution is read from the one scan,
+    # whose budget is the only size limit
     path = workdir / "full15.txt"
     path.write_text("m=15\n" + "".join(f"{v:015b}\n" for v in range(1 << 15)))
     result = subprocess.run(
@@ -269,8 +270,20 @@ def test_analyze_refuses_a_pair_walk_over_budget(workdir):
         preexec_fn=_limit_address_space,
         timeout=20,
     )
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    binomials = [str(comb(15, i)) for i in range(16)]
+    assert f"distance distribution: {binomials}" in lines
+    assert "covering radius:  0" in lines
+
+
+def test_analyze_takes_only_an_ascii_header(workdir):
+    # int() read m=+11 as 11, and analyze exited 0
+    path = workdir / "signed_header.txt"
+    path.write_text("m=+11\n00000000000\n")
+    result = run_cli("analyze", str(path))
     assert result.returncode == 2
-    assert "pair budget" in result.stderr
+    assert "line 1" in result.stderr
 
 
 # replays a report once per edit, each edit setting the field at a dotted
@@ -433,6 +446,17 @@ def test_certify_ct_takes_only_ascii_decimal_images(workdir, code11_file):
     )
     assert result.returncode == 2
     assert "'+1'" in result.stderr
+
+
+def test_certify_ct_takes_only_ascii_whitespace(workdir, code11_file):
+    # str.split() read the ideographic space as a separator: the identity
+    gen_path = workdir / "ideographic.gens"
+    gen_path.write_text("00000000000|1\u30002 3 4 5 6 7 8 9 10 11\n", encoding="utf-8")
+    result = run_cli(
+        "certify", str(code11_file), "ct", "--generators", str(gen_path)
+    )
+    assert result.returncode == 2
+    assert "'1\\u30002'" in result.stderr
 
 
 def test_certify_ct_names_a_generator_that_moves_the_code(workdir, code12_file):

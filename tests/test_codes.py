@@ -157,6 +157,25 @@ def test_file_errors_carry_line_numbers():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("m=+4\n0101\n", 1),
+        ("m=0_4\n0101\n", 1),
+        ("m=\uff14\n0101\n", 1),  # full-width 4
+        ("m= 4\n0101\n", 1),
+        ("# spelled out\nm=4\n\u30000101\u3000\n", 3),  # ideographic spaces
+        ("m=4\n0101\xa0\n", 2),  # no-break space
+    ],
+    ids=["sign", "underscore", "full-width", "inner-space", "ideographic", "no-break"],
+)
+def test_code_files_are_ascii(text, line):
+    # int() and str.strip() read each of these as a length-4 code
+    with pytest.raises(CodeFormatError) as err:
+        Code.from_text(text)
+    assert err.value.line == line
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Code(4, [])
@@ -270,19 +289,32 @@ def test_min_distance_matches_a_pair_minimum(code):
     assert code.min_distance == min(distances)
 
 
-def test_min_distance_needs_no_scan():
-    # past the scan budget the pair walk still answers, and repr with it
+@settings(max_examples=80, deadline=None)
+@given(small_codes())
+@example(Code(5, [3]))
+@example(Code(8, range(1 << 8)))
+def test_distance_distribution_matches_a_pair_census(code):
+    census = [0] * (code.length + 1)
+    for a in code.words:
+        for b in code.words:
+            census[(a ^ b).bit_count()] += 1
+    assert code.distance_distribution == tuple(Fraction(c, code.size) for c in census)
+
+
+def test_min_distance_past_the_scan_budget_raises():
+    # the distribution, and the minimum distance with it, read the scan;
+    # repr still answers
     code = Code(24, [0, 0b111, (1 << 24) - 1])
-    assert code.min_distance == 3
-    assert repr(code) == "Code(m=24, N=3, delta=3)"
-
-
-def test_pair_budget_refuses_before_walking():
-    # 2^13 words make 3.4e7 pairs, four times the budget; repr still answers
-    code = Code(13, range(1 << 13))
-    with pytest.raises(ResourceBudgetError, match="pair budget"):
+    with pytest.raises(ResourceBudgetError, match="scan budget"):
         code.min_distance
-    assert repr(code) == "Code(m=13, N=8192, delta=None)"
+    assert repr(code) == "Code(m=24, N=3, delta=None)"
+
+
+def test_full_length_13_space_has_min_distance_1():
+    # 3.4e7 codeword pairs: the size of the code sets no limit of its own
+    code = Code(13, range(1 << 13))
+    assert code.min_distance == 1
+    assert repr(code) == "Code(m=13, N=8192, delta=1)"
 
 
 def test_scan_budget_counts_fields_not_words():

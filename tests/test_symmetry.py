@@ -83,15 +83,26 @@ def test_format_parse_roundtrip():
         parse_automorphism("0101")
     with pytest.raises(ValueError):
         parse_automorphism("0101|1 1 2 3")
+    # ASCII whitespace still separates and frames the images
+    x = GraphAutomorphism(0, (0, 1, 2))
+    assert parse_automorphism("000|1  2 3") == x
+    assert parse_automorphism(" 000|1\t2 3\r\n") == x
 
 
 @pytest.mark.parametrize(
     "text, token",
-    [("000|+1 2 3", "+1"), ("000|1 2 \uff13", "\uff13"), ("000|0_1 2 3", "0_1")],
-    ids=["sign", "full-width", "underscore"],
+    [
+        ("000|+1 2 3", "+1"),
+        ("000|1 2 \uff13", "\uff13"),
+        ("000|0_1 2 3", "0_1"),
+        ("000|1\u30002 3", "1\u30002"),
+        ("000|1\xa02 3", "1\xa02"),
+        ("\u3000000|1 2 3\u3000", "\u3000"),
+    ],
+    ids=["sign", "full-width", "underscore", "ideographic", "no-break", "framed"],
 )
 def test_parse_automorphism_takes_only_ascii_decimal_images(text, token):
-    # int() reads each of these as 000|1 2 3
+    # int(), str.split() and str.strip() read each of these as 000|1 2 3
     with pytest.raises(ValueError, match=re.escape(repr(token))):
         parse_automorphism(text)
 

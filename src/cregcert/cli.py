@@ -3,10 +3,12 @@
 Subcommands: construct, analyze, certify, classify, enumerate-designs,
 aut.  All take ``--out``; analyze, certify and classify ``--report``.
 Certify's options follow its mode.  Group orders are held to
-``symmetry.ELEMENT_BUDGET``, which no option changes.  Exit codes: 0
-when every certificate passes, 1 when a certificate fails, 2 for usage
-or I/O errors.  Reports are deterministic given the same inputs and
-configuration.
+``symmetry.ELEMENT_BUDGET``, group and equivalence searches to
+``symmetry.MATCHER_BUDGET`` and code files to
+``codes.WORD_LINE_BUDGET``; no option changes them.  Exit codes: 0 when
+every certificate passes, 1 when a certificate fails, 2 for usage or
+I/O errors and passed budgets.  Reports are deterministic given the
+same inputs and configuration.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from itertools import islice
 from .certs import SCHEMA
 from .classify import build_report, certify_theorem, classify, reference_code, report_json
 from .codes import Code, CodeFormatError
-from .designs import enumerate_designs, t_design_lambda
+from .designs import check_t_design, enumerate_designs
 from .hadamard import paley_hadamard_12
+from .hamming import ASCII_SPACE
 from .regularity import certify_completely_regular, certify_completely_transitive
 from .spectral import certify_uniformly_packed, external_distance, macwilliams_transform
 from .symmetry import (
@@ -47,8 +50,9 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _load_code(path: str) -> Code:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Code.from_text(fh.read())
+    # read line by line, each line ending at "\n" only
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        return Code.from_lines(fh)
 
 
 _OPTIONS = {
@@ -106,7 +110,7 @@ def _analysis_payload(code: Code) -> dict:
                 payload["weight_classes"][str(k)] = {
                     "size": len(wc),
                     "strength": t,
-                    "index": t_design_lambda(wc, code.length, t),
+                    "index": check_t_design(wc, code.length, t)[0],
                 }
         if all(w.bit_count() % 2 == 0 for w in code.words):
             # consistency note for even-weight codes: twice the external
@@ -161,7 +165,8 @@ def cmd_certify(args) -> int:
         if args.generators:
             # one past the budget, so an oversized file is refused unparsed
             with open(args.generators, "r", encoding="utf-8") as fh:
-                lines = list(islice(filter(str.strip, fh), GENERATOR_BUDGET + 1))
+                listed = (ln for ln in fh if ln.strip(ASCII_SPACE))
+                lines = list(islice(listed, GENERATOR_BUDGET + 1))
             if len(lines) > GENERATOR_BUDGET:
                 raise ResourceBudgetError(
                     f"the file lists more than the budget of {GENERATOR_BUDGET} "

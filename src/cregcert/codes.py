@@ -19,12 +19,16 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Iterable
 
 from .certs import ResourceBudgetError
 from .hamming import ASCII_SPACE, check_length, format_mask, parse_mask
 
 # 16-bit fields the scan holds, 2^m * (m+1); admits every m <= 18
 SCAN_BUDGET = 1 << 23
+# codeword lines a code file may hold: the full space of length 18, the
+# largest code the scan admits
+WORD_LINE_BUDGET = 1 << 18
 FIELD_BITS = 16
 # low bits of a scan block: a block holds the rows of 2^h vertices
 MAX_BLOCK_BITS = 6
@@ -202,10 +206,14 @@ class Code:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "Code":
+    def from_lines(cls, lines: Iterable[str]) -> "Code":
+        """Read a code file given as its lines, split at "\n" only (the
+        ASCII strip takes the "\r" of CRLF).  Raises ResourceBudgetError
+        at the first codeword line past WORD_LINE_BUDGET, before reading
+        further."""
         length = None
         words = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip(ASCII_SPACE)
             if not line or line.startswith("#"):
                 continue
@@ -220,6 +228,11 @@ class Code:
                 except ValueError as exc:
                     raise CodeFormatError(str(exc), lineno) from None
                 continue
+            if len(words) == WORD_LINE_BUDGET:
+                raise ResourceBudgetError(
+                    f"line {lineno}: the file lists more than the budget of "
+                    f"{WORD_LINE_BUDGET} codeword lines"
+                )
             try:
                 mask, m = parse_mask(line)
             except ValueError as exc:

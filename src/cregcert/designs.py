@@ -45,11 +45,8 @@ class Design:
         blocks = tuple(sorted({int(b) for b in blocks}))
         if not blocks:
             raise ValueError("a design needs at least one block")
-        sizes = {b.bit_count() for b in blocks}
-        if len(sizes) != 1:
-            raise ValueError(f"blocks have unequal sizes {sorted(sizes)}")
-        k = sizes.pop()
         lam, counterexample = check_t_design(blocks, points, strength)
+        k = blocks[0].bit_count()
         if lam is None:
             raise ValueError(
                 f"not a {strength}-design: subsets {counterexample} are covered "
@@ -80,7 +77,8 @@ class Design:
 
 def check_t_design(blocks, points: int, t: int):
     """Return (lam, None) if every t-subset is covered the same number of
-    times, else (None, (subset_a, subset_b)) for the first differing pair."""
+    times, else (None, (subset_a, subset_b)) for the first differing pair.
+    Blocks of unequal sizes raise ValueError."""
     blocks = tuple(blocks)
     sizes = {b.bit_count() for b in blocks}
     if len(sizes) != 1:
@@ -93,21 +91,13 @@ def check_t_design(blocks, points: int, t: int):
         for b in blocks
         for sub in combinations([1 << i for i in range(points) if (b >> i) & 1], t)
     )
-    first = None
-    lam = None
-    for sub in ksubset_masks(points, t):
-        c = counts[sub]
-        if lam is None:
-            lam = c
-            first = sub
-        elif c != lam:
+    subsets = ksubset_masks(points, t)
+    first = next(subsets)
+    lam = counts[first]
+    for sub in subsets:
+        if counts[sub] != lam:
             return None, (first, sub)
     return lam, None
-
-
-def t_design_lambda(blocks, points: int, t: int) -> int | None:
-    lam, _ = check_t_design(blocks, points, t)
-    return lam
 
 
 def lambda_i(t: int, m: int, k: int, lam, i: int) -> Fraction:

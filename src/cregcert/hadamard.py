@@ -45,37 +45,22 @@ class HadamardMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _quadratic_residues(p: int) -> frozenset[int]:
-    return frozenset((x * x) % p for x in range(1, p))
-
-
 def paley_hadamard_12() -> HadamardMatrix:
     """The normalized order-12 Hadamard matrix from the Paley construction.
 
     Border of +1s around the Jacobsthal matrix of the quadratic residue
-    character mod 11, plus the identity; rows with a leading -1 are then
-    negated (after which every column top entry is already +1).
+    character mod 11, plus the identity; every row below the border
+    opens with -1 and is negated, after which every column top entry is
+    already +1.  Negated, entry j of row i is -1 exactly where i = j or
+    j - i is a quadratic residue.
     """
     p = _PALEY_PRIME
-    residues = _quadratic_residues(p)
-    chi = [0] * p
-    for x in range(1, p):
-        chi[x] = 1 if x in residues else -1
-    m = p + 1
-    rows = []
-    rows.append(tuple([1] * m))
-    for i in range(p):
-        row = [-1]
-        for j in range(p):
-            row.append(1 if i == j else chi[(j - i) % p])
-        rows.append(tuple(row))
-    # normalize: flip rows with leading -1; column tops are +1 afterwards
-    normalized = [rows[0]]
-    for row in rows[1:]:
-        if row[0] == -1:
-            row = tuple(-v for v in row)
-        normalized.append(row)
-    return HadamardMatrix(m, tuple(normalized))
+    residues = {x * x % p for x in range(1, p)}
+    rows = [(1,) * (p + 1)] + [
+        (1, *(-1 if i == j or (j - i) % p in residues else 1 for j in range(p)))
+        for i in range(p)
+    ]
+    return HadamardMatrix(p + 1, tuple(rows))
 
 
 def kappa(vector: Sequence[int]) -> int:

@@ -2,11 +2,11 @@
 
 Everything here is exact and computed in integers: Krawtchouk values are
 integers, a transform entry is an integer sum over its input's common
-denominator, and the uniformly-packed weights come out of an incremental
-fraction-free solve that eliminates only on the rows a running solution
-fails.  Fractions are built only for results.  Sign decisions
-(nonnegativity of the transform) are proof steps, so floating point
-never appears.
+denominator, and the uniformly-packed weights come out of one
+fraction-free Gauss-Jordan elimination that takes in only the rows a
+running solution fails.  Fractions are built only for results.  Sign
+decisions (nonnegativity of the transform) are proof steps, so floating
+point never appears.
 """
 
 from __future__ import annotations
@@ -78,68 +78,46 @@ class PackingSolution:
     )
 
 
-def solve_rational_system(rows, rhs) -> list[Fraction] | None:
-    """Solve A x = b exactly over the rationals.
-
-    Returns one solution (free variables pinned to zero) or None when the
-    system is inconsistent.  Fraction-free Gauss-Jordan on the rows of
-    [A | b] scaled to integers: pivot p at column c turns a row into
-    p * row - row[c] * pivot_row over its gcd, a nonzero multiple of the
-    Fraction row, so the pivots are plain Gauss-Jordan's.  The systems
-    here have rho+1 unknowns, at most m+1 (a one-word code has rho = m).
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [_integer_row([*row, b])[0] for row, b in zip(rows, rhs)]
-    pivots, r = [], 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        top = aug[r]
-        for i, row in enumerate(aug):
-            if i != r and row[c]:
-                new = [top[c] * v - row[c] * p for v, p in zip(row, top)]
-                g = gcd(*new)
-                aug[i] = [v // g for v in new] if g else new
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    if any(row[-1] for row in aug[r:]):
-        return None
-    solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        solution[c] = Fraction(aug[i][-1], aug[i][c])
-    return solution
+def _eliminate(row: list[int], pivot: list[int], c: int) -> list[int]:
+    """``row`` with column c cleared by ``pivot``, fraction-free and over
+    its gcd: a nonzero multiple of the Fraction row's elimination."""
+    new = [pivot[c] * v - row[c] * p for v, p in zip(row, pivot)]
+    g = gcd(*new)
+    return [v // g for v in new]
 
 
 def solve_unit_system(rows) -> tuple[Fraction, ...] | None:
     """Solve sum_k x_k row[k] = 1 for every row, exactly: the solution
     with free variables at zero, or None when the rows are inconsistent.
 
-    Checks the rows in integers against a solution scaled by its common
-    denominator; a failing row joins a basis and only the basis is
-    re-solved, raising its rank or proving inconsistency, so there are
-    at most unknowns + 1 solves.  The basis's pivot columns are among
-    the full system's (a column that depends on earlier ones in all rows
-    does so in any subset), so a basis solution that fits every row is
-    the full system's solution with free variables at zero.
+    Checks the rows in integers against the running solution scaled by
+    its common denominator.  A failing row [row | 1], reduced by the kept
+    pivot rows, proves inconsistency when no coefficient is left; else
+    its first nonzero column becomes a pivot, cleared from the other
+    rows.  The kept rows are the reduced row-echelon form of the failing
+    rows, whose pivot columns are among the full system's (a column that
+    depends on earlier ones in all rows does so in any subset), so a
+    solution that fits every row is the full system's with free
+    variables at zero.  There are at most unknowns + 1 rounds.
     """
-    basis: list[tuple[int, ...]] = []
-    weights, scale = (0,) * len(rows[0]), 1  # x_k = weights[k] / scale
+    pivots: dict[int, list[int]] = {}  # pivot column -> [coefficients | rhs]
+    weights, scale = [0] * len(rows[0]), 1  # x_k = weights[k] / scale
     while True:
         row = next((r for r in rows if sum(map(mul, weights, r)) != scale), None)
         if row is None:
             return tuple(Fraction(w, scale) for w in weights)
-        basis.append(row)
-        solution = solve_rational_system(basis, [1] * len(basis))
-        if solution is None:
+        new = [*row, 1]
+        for c, p in pivots.items():
+            if new[c]:
+                new = _eliminate(new, p, c)
+        c = next((k for k, v in enumerate(new[:-1]) if v), None)
+        if c is None:
             return None
-        scale = lcm(*(v.denominator for v in solution))
-        weights = tuple(v.numerator * (scale // v.denominator) for v in solution)
+        pivots = {k: _eliminate(p, new, c) if p[c] else p for k, p in pivots.items()}
+        pivots[c] = new
+        scale = lcm(*(p[k] for k, p in pivots.items()))
+        for k, p in pivots.items():
+            weights[k] = p[-1] * (scale // p[k])
 
 
 def certify_uniformly_packed(code: Code) -> PackingSolution:
@@ -147,8 +125,9 @@ def certify_uniformly_packed(code: Code) -> PackingSolution:
     sum_k lambda_k |Gamma_k(nu) cap C| = 1 for every vertex nu.
 
     Solves the distinct (f_0..f_rho) prefixes of the packed outer
-    distribution, in sorted order, by ``solve_unit_system``: at most
-    rho+2 small eliminations.  Unsatisfiable is a verdict, not an error.
+    distribution, in sorted order, by ``solve_unit_system``: one
+    elimination over at most rho+2 of them.  Unsatisfiable is a verdict,
+    not an error.
     """
     width = code.covering_radius + 1
     distinct = tuple(sorted(code.outer_distribution.distinct_prefixes(width)))

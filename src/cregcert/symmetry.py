@@ -7,8 +7,8 @@ chains (deterministic Schreier–Sims: exact order and membership, every
 chain held to ``ELEMENT_BUDGET`` on its order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
 pruning, full code automorphism groups, and the search for a
-coordinate permutation carrying one code onto another.  Every group is
-held as generators and a stabilizer chain.
+coordinate permutation carrying one code onto another, each search held
+to ``MATCHER_BUDGET``.  Groups are generators and a stabilizer chain.
 
 Composition convention, fixed globally: ``compose(x, y)`` means "apply
 x first, then y", matching right-action exponent notation.
@@ -31,6 +31,11 @@ ELEMENT_BUDGET = 10**6
 # the most generators a replayed group witness may list; the producer
 # lists 27 at length 12 and 26 at length 11
 GENERATOR_BUDGET = 64
+# the most containment tests (a partial block against a destination
+# block) the matcher searches of one code_automorphism_group or
+# find_equivalence call may make; the certificates need 67,928 (length
+# 12), 36,913 (length 11) and 1,137 (the equivalence)
+MATCHER_BUDGET = 10**7
 
 
 class GraphAutomorphism(NamedTuple):
@@ -348,6 +353,13 @@ def _refine_point_colors(family: Sequence[int], m: int) -> tuple[int, ...]:
         colors = fresh
 
 
+class MatcherWork:
+    """The containment tests made so far by the matcher searches of one
+    call, which ``_FamilyMatcher.search`` holds to MATCHER_BUDGET."""
+
+    tests = 0
+
+
 class _FamilyMatcher:
     """Backtracking search for permutations mapping one block family
     onto another (or itself, for setwise stabilizers).
@@ -355,10 +367,14 @@ class _FamilyMatcher:
     Points are assigned in ascending order; a candidate image survives
     only while every partially-mapped source block still fits inside
     some destination block of its size (exactly equal once complete).
+    Each fit test is counted in ``work``.
     """
 
-    def __init__(self, src: Sequence[int], dst: Sequence[int], m: int):
+    def __init__(
+        self, src: Sequence[int], dst: Sequence[int], m: int, work: MatcherWork
+    ):
         self.m = m
+        self.work = work
         self.src = tuple(sorted(set(src)))
         self.dst = tuple(sorted(set(dst)))
         self.dst_set = frozenset(self.dst)
@@ -383,10 +399,11 @@ class _FamilyMatcher:
 
     def search(self, prefix: Sequence[int] = ()):
         """Yield image tuples (one per matching permutation) in
-        lexicographic order; point i < len(prefix) is pinned to prefix[i]."""
+        lexicographic order; point i < len(prefix) is pinned to prefix[i].
+        Raises ResourceBudgetError at a node once MATCHER_BUDGET is passed."""
         if not self.compatible:
             return
-        m = self.m
+        m, work = self.m, self.work
         image = [-1] * m
         partial = [0] * len(self.src)
         free = list(self.sizes)
@@ -397,12 +414,18 @@ class _FamilyMatcher:
             if free[bi] == 0:
                 return pmask in self.dst_set
             for d in self.dst_by_size.get(self.sizes[bi], ()):
+                work.tests += 1
                 if pmask & ~d == 0:
                     return True
             return False
 
         def extend(p: int):
             nonlocal used
+            if work.tests > MATCHER_BUDGET:
+                raise ResourceBudgetError(
+                    f"the matcher searches made {work.tests} containment tests, "
+                    f"past the matcher budget of {MATCHER_BUDGET}"
+                )
             if p == m:
                 yield tuple(image)
                 return
@@ -431,21 +454,21 @@ class _FamilyMatcher:
 
 
 def find_family_isomorphism(
-    src: Sequence[int], dst: Sequence[int], m: int
+    src: Sequence[int], dst: Sequence[int], m: int, work: MatcherWork
 ) -> tuple[int, ...] | None:
     """One permutation mapping the source block family onto the
     destination family, or None when the exhausted search proves there
     is none."""
-    return next(_FamilyMatcher(src, dst, m).search(), None)
+    return next(_FamilyMatcher(src, dst, m, work).search(), None)
 
 
-def _family_stabilizer_chain(family: Sequence[int], m: int):
+def _family_stabilizer_chain(family: Sequence[int], m: int, work: MatcherWork):
     """The chain of the permutations preserving the family, from the last
     base point down: with the chain at the stabilizer of points 0..d, each
     image of point d outside its level-d orbit gets one search for an
     element fixing points 0..d-1 and sending d there.  Every candidate is
     in the orbit or searched exhaustively, so the order is exact."""
-    matcher = _FamilyMatcher(family, family, m)
+    matcher = _FamilyMatcher(family, family, m, work)
     chain = StabilizerChain(m)
     orbit_lengths = []
     for d in range(m - 1, -1, -1):
@@ -503,7 +526,9 @@ def _greedy_generators(group: StabilizerChain) -> list[GraphAutomorphism]:
     return gens
 
 
-def setwise_stabilizer_perms(family: Sequence[int], m: int) -> GroupHandle:
+def setwise_stabilizer_perms(
+    family: Sequence[int], m: int, work: MatcherWork
+) -> GroupHandle:
     """The coordinate permutations preserving the block family setwise, as
     the backtracking chain and reduced generators.
 
@@ -515,7 +540,7 @@ def setwise_stabilizer_perms(family: Sequence[int], m: int) -> GroupHandle:
     """
     if not family:
         raise ValueError("the block family must be nonempty")
-    group = _family_stabilizer_chain(family, m)
+    group = _family_stabilizer_chain(family, m, work)
     gens = _greedy_generators(group)
     blocks = set(family)
     if any({permute_mask(g.perm, b) for b in blocks} != blocks for g in gens):
@@ -535,11 +560,12 @@ def code_automorphism_group(code: Code) -> GroupHandle:
     m = code.length
     base = code.words[0]
     family = tuple(w ^ base for w in code.words)
-    stab = setwise_stabilizer_perms(family, m)
+    work = MatcherWork()
+    stab = setwise_stabilizer_perms(family, m, work)
 
     transversals: list[GraphAutomorphism] = []
     for beta in family[1:]:
-        perm = find_family_isomorphism(family, tuple(w ^ beta for w in family), m)
+        perm = find_family_isomorphism(family, tuple(w ^ beta for w in family), m, work)
         if perm is None:
             continue
         x = GraphAutomorphism(permute_mask_inv(perm, beta), perm)
@@ -578,5 +604,5 @@ def find_equivalence(c1: Code, c2: Code) -> GraphAutomorphism | None:
         return None
     if c1.size >= 2 and c1.distance_distribution != c2.distance_distribution:
         return None
-    perm = find_family_isomorphism(c1.words, c2.words, c1.length)
+    perm = find_family_isomorphism(c1.words, c2.words, c1.length, MatcherWork())
     return None if perm is None else GraphAutomorphism(0, perm)

@@ -4,7 +4,11 @@ from cregcert import symmetry
 from cregcert.classify import build_report, certify_theorem, classify
 from cregcert.designs import enumerate_designs
 from cregcert.hadamard import code_of, paley_hadamard_12
-from cregcert.symmetry import code_automorphism_group, setwise_stabilizer_perms
+from cregcert.symmetry import (
+    MatcherWork,
+    code_automorphism_group,
+    setwise_stabilizer_perms,
+)
 
 
 @pytest.fixture
@@ -14,6 +18,17 @@ def element_budget(monkeypatch):
 
     def set_budget(value: int) -> None:
         monkeypatch.setattr(symmetry, "ELEMENT_BUDGET", value)
+
+    return set_budget
+
+
+@pytest.fixture
+def matcher_budget(monkeypatch):
+    """Sets ``symmetry.MATCHER_BUDGET``, the cap on the containment tests
+    of one group or equivalence search, for one test."""
+
+    def set_budget(value: int) -> None:
+        monkeypatch.setattr(symmetry, "MATCHER_BUDGET", value)
 
     return set_budget
 
@@ -45,7 +60,7 @@ def aut11(code11):
 
 @pytest.fixture(scope="session")
 def m11_stabilizer(code12):
-    return setwise_stabilizer_perms(code12.weight_class(6), 12)
+    return setwise_stabilizer_perms(code12.weight_class(6), 12, MatcherWork())
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from math import comb
 from cregcert.classify import verify_report
 from cregcert.cli import main as cli_main
 from cregcert.codes import Code
-from cregcert.designs import enumerate_designs, t_design_lambda
+from cregcert.designs import check_t_design, enumerate_designs
 from cregcert.hamming import ksubset_masks
 from cregcert.regularity import certify_completely_regular
 from cregcert.spectral import (
@@ -22,6 +22,7 @@ from cregcert.spectral import (
     macwilliams_transform,
 )
 from cregcert.symmetry import (
+    MatcherWork,
     apply_mask,
     compose,
     find_family_isomorphism,
@@ -81,10 +82,10 @@ def test_criterion_04_macwilliams(code12, code11):
 
 def test_criterion_05_designs(code12, code11):
     blocks6 = code12.weight_class(6)
-    assert len(blocks6) == 22 and t_design_lambda(blocks6, 12, 3) == 2
+    assert len(blocks6) == 22 and check_t_design(blocks6, 12, 3)[0] == 2
     blocks5 = code11.weight_class(5)
-    assert len(blocks5) == 11 and t_design_lambda(blocks5, 11, 2) == 2
-    assert t_design_lambda(code11.weight_class(6), 11, 2) == 3
+    assert len(blocks5) == 11 and check_t_design(blocks5, 11, 2)[0] == 2
+    assert check_t_design(code11.weight_class(6), 11, 2)[0] == 3
     report(5, "weight classes verify as 3-(12,6,2), 2-(11,5,2), 2-(11,6,3)")
 
 
@@ -124,10 +125,11 @@ def test_criterion_06_design_uniqueness():
     extend(0, [])
     reps = []
     for sol in labeled:
-        if all(find_family_isomorphism(sol, r, 7) is None for r in reps):
+        if all(find_family_isomorphism(sol, r, 7, MatcherWork()) is None for r in reps):
             reps.append(sol)
     assert len(reps) == 1
-    assert find_family_isomorphism(reps[0], fano_classes[0].blocks, 7) is not None
+    found = find_family_isomorphism(reps[0], fano_classes[0].blocks, 7, MatcherWork())
+    assert found is not None
     report(6, "unique 2-(11,5,2) and 3-(12,6,2); calibration case matches oracle")
 
 
@@ -138,14 +140,14 @@ def test_criterion_07_group_orders(aut12, code12):
     assert aut12.order // stab.order == 24
     d12 = enumerate_designs(3, 12, 6, 2)[0]
     d11 = enumerate_designs(2, 11, 5, 2)[0]
-    assert setwise_stabilizer_perms(d12.blocks, d12.points).order == 7920
-    assert setwise_stabilizer_perms(d11.blocks, d11.points).order == 660
+    assert setwise_stabilizer_perms(d12.blocks, d12.points, MatcherWork()).order == 7920
+    assert setwise_stabilizer_perms(d11.blocks, d11.points, MatcherWork()).order == 660
     report(7, "group orders 190080 / 7920 (index 24); design groups 7920 / 660")
 
 
 def test_criterion_08_orbit_counts(m11_stabilizer, design11):
     assert len(orbits_on_ksubsets(m11_stabilizer, 4)) == 2
-    psl = setwise_stabilizer_perms(design11.blocks, design11.points)
+    psl = setwise_stabilizer_perms(design11.blocks, design11.points, MatcherWork())
     assert psl.order == 660
     assert len(orbits_on_ksubsets(psl, 3)) == 2
     report(8, "two orbits on 4-subsets (order 7920) and 3-subsets (order 660)")

@@ -71,8 +71,8 @@ def test_construct_hadamard12(workdir, hadamard12):
 def test_construct_code_files(code12_file, code11_file, code12, code11):
     text12 = code12_file.read_text()
     assert text12.startswith("# (12,24,6)")
-    assert Code.from_text(text12) == code12
-    assert Code.from_text(code11_file.read_text()) == code11
+    assert Code.from_lines(text12.split("\n")) == code12
+    assert Code.from_lines(code11_file.read_text().split("\n")) == code11
     assert len([ln for ln in text12.splitlines() if ln and not ln.startswith("#")]) == 25
 
 
@@ -277,6 +277,52 @@ def test_analyze_admits_the_full_length_15_space(workdir):
     assert "covering radius:  0" in lines
 
 
+def test_analyze_refuses_a_code_file_past_its_line_budget(workdir):
+    # reading the whole file first ended a 156 MB file of one repeated
+    # word in a MemoryError traceback (exit 1) under this cap
+    from cregcert.codes import WORD_LINE_BUDGET
+
+    path = workdir / "overlong.txt"
+    words = "0" * 12 + "\n\n" + ("1" * 12 + "\n") * WORD_LINE_BUDGET
+    path.write_text("m=12\n" + words)
+    result = subprocess.run(
+        [sys.executable, "-m", "cregcert.cli", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    expected = f"line {WORD_LINE_BUDGET + 3}: the file lists more than the budget"
+    assert expected in result.stderr
+    assert f"budget of {WORD_LINE_BUDGET} codeword lines" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "separator",
+    ["\u2028", "\x85", "\x1c", "\x1d", "\x1e", "\r"],
+    ids=["line-separator", "next-line", "file-sep", "group-sep", "record-sep", "cr"],
+)
+def test_code_file_lines_end_at_newline_only(workdir, separator, capsys):
+    # str.splitlines() split at each of these, so 000 and 111 loaded as
+    # two words; a lone CR had become a newline on reading
+    from cregcert import cli
+
+    path = workdir / f"separator{ord(separator):x}.txt"
+    path.write_bytes(f"m=3\n000{separator}111\n".encode())
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "line 2: invalid word character" in capsys.readouterr().err
+
+
+def test_code_file_lines_may_end_in_crlf(workdir, capsys):
+    from cregcert import cli
+
+    path = workdir / "crlf.txt"
+    path.write_bytes(b"m=3\r\n000\r\n111\r\n")
+    assert cli.main(["analyze", str(path)]) == 0
+    assert "length 3, 2 codewords" in capsys.readouterr().out
+
+
 def test_analyze_takes_only_an_ascii_header(workdir):
     # int() read m=+11 as 11, and analyze exited 0
     path = workdir / "signed_header.txt"
@@ -459,6 +505,17 @@ def test_certify_ct_takes_only_ascii_whitespace(workdir, code11_file):
     assert "'1\\u30002'" in result.stderr
 
 
+def test_certify_ct_refuses_a_line_of_non_ascii_space(workdir, code11_file):
+    # str.strip() read it as blank, which left the trivial group (exit 1)
+    gen_path = workdir / "ideographic_line.gens"
+    gen_path.write_text("\u3000\n", encoding="utf-8")
+    result = run_cli(
+        "certify", str(code11_file), "ct", "--generators", str(gen_path)
+    )
+    assert result.returncode == 2
+    assert "expected '<mask>|<images>', got '\\u3000" in result.stderr
+
+
 def test_certify_ct_names_a_generator_that_moves_the_code(workdir, code12_file):
     # flipping coordinate 1 sends the zero word off the code; the text
     # names the generator and its stray image instead of empty partitions
@@ -563,6 +620,41 @@ def test_aut_is_held_to_the_element_budget(workdir):
     )
     assert result.returncode == 2
     assert "1000000" in result.stderr
+
+
+def golay_words() -> list[int]:
+    """The extended Golay code, spanned by the rows of [I | B]: B borders
+    the circulant of {0} and the non-residues mod 11 with ones."""
+    residues = {x * x % 11 for x in range(1, 11)}
+    first = [int(j == 0 or j not in residues) for j in range(11)]
+    b = [[0] + [1] * 11] + [
+        [1] + [first[(j - i) % 11] for j in range(11)] for i in range(11)
+    ]
+    words = [0]
+    for i, row in enumerate(b):
+        g = 1 << i | sum(bit << 12 + j for j, bit in enumerate(row))
+        words += [w ^ g for w in words]
+    return words
+
+
+def test_aut_is_held_to_the_matcher_budget(workdir):
+    # without one dropped word the group has order 2^12 * |M24|; with it
+    # the backtracking made 260 M containment tests in 494 nodes
+    words = golay_words()
+    assert len(set(words)) == 4096
+    assert min(w.bit_count() for w in words if w) == 8
+    dropped = min(w for w in words if w.bit_count() == 8)
+    path = workdir / "golay_less_one.txt"
+    path.write_text(Code(24, [w for w in words if w != dropped]).to_text())
+    result = subprocess.run(
+        [sys.executable, "-m", "cregcert.cli", "aut", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=10,
+    )
+    assert result.returncode == 2
+    assert "past the matcher budget of 10000000" in result.stderr
 
 
 def test_main_reuses_one_parser(workdir, code11_file, capsys):

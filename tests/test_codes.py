@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cregcert.certs import ResourceBudgetError
-from cregcert.codes import SCAN_BUDGET, Code, CodeFormatError
+from cregcert.codes import SCAN_BUDGET, WORD_LINE_BUDGET, Code, CodeFormatError
 from cregcert.regularity import certify_completely_regular
 
 DIST12 = (1, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 1)
@@ -140,20 +140,20 @@ def test_weight_class(code12, code11):
 def test_file_roundtrip(code12):
     text = code12.to_text()
     assert text.splitlines()[0] == "m=12"
-    assert Code.from_text(text) == code12
+    assert Code.from_lines(text.split("\n")) == code12
     commented = "# header comment\n" + text
-    assert Code.from_text(commented) == code12
+    assert Code.from_lines(commented.split("\n")) == code12
 
 
 def test_file_errors_carry_line_numbers():
     with pytest.raises(CodeFormatError) as err:
-        Code.from_text("m=4\n0101\n01x1\n")
+        Code.from_lines("m=4\n0101\n01x1\n".split("\n"))
     assert err.value.line == 3
     with pytest.raises(CodeFormatError) as err:
-        Code.from_text("0101\n")
+        Code.from_lines("0101\n".split("\n"))
     assert err.value.line == 1
     with pytest.raises(CodeFormatError) as err:
-        Code.from_text("m=4\n01011\n")
+        Code.from_lines("m=4\n01011\n".split("\n"))
     assert err.value.line == 2
 
 
@@ -172,8 +172,17 @@ def test_file_errors_carry_line_numbers():
 def test_code_files_are_ascii(text, line):
     # int() and str.strip() read each of these as a length-4 code
     with pytest.raises(CodeFormatError) as err:
-        Code.from_text(text)
+        Code.from_lines(text.split("\n"))
     assert err.value.line == line
+
+
+def test_code_files_hold_the_full_length_18_space():
+    # the line budget admits the largest code the scan admits, and the
+    # first codeword line past it is refused; comments do not count
+    lines = ["m=18", "# the full space", *(f"{v:018b}" for v in range(1 << 18))]
+    assert Code.from_lines(lines).size == WORD_LINE_BUDGET
+    with pytest.raises(ResourceBudgetError, match=f"line {len(lines) + 1}: "):
+        Code.from_lines(lines + ["0" * 18])
 
 
 def test_constructor_validation():

@@ -14,10 +14,10 @@ from cregcert.designs import (
     check_t_design,
     enumerate_designs,
     lambda_i,
-    t_design_lambda,
 )
 from cregcert.hamming import ksubset_masks, points_to_mask
 from cregcert.symmetry import (
+    MatcherWork,
     ResourceBudgetError,
     find_family_isomorphism,
     permute_mask,
@@ -27,9 +27,9 @@ from oracles import orbits_on_ksubsets
 
 
 def test_weight_classes_as_designs(code12, code11):
-    assert t_design_lambda(code12.weight_class(6), 12, 3) == 2
-    assert t_design_lambda(code11.weight_class(5), 11, 2) == 2
-    assert t_design_lambda(code11.weight_class(6), 11, 2) == 3
+    assert check_t_design(code12.weight_class(6), 12, 3)[0] == 2
+    assert check_t_design(code11.weight_class(5), 11, 2)[0] == 2
+    assert check_t_design(code11.weight_class(6), 11, 2)[0] == 3
 
 
 def test_check_t_design_counterexample():
@@ -120,10 +120,11 @@ def test_enumerate_fano_with_brute_force_oracle():
     assert len(found) == 30  # labeled Fano planes with descending blocks
     reps = []
     for sol in found:
-        if all(find_family_isomorphism(sol, r, 7) is None for r in reps):
+        if all(find_family_isomorphism(sol, r, 7, MatcherWork()) is None for r in reps):
             reps.append(sol)
     assert len(reps) == 1
-    assert find_family_isomorphism(reps[0], classes[0].blocks, 7) is not None
+    found = find_family_isomorphism(reps[0], classes[0].blocks, 7, MatcherWork())
+    assert found is not None
 
 
 def test_enumerate_unique_biplane(design11):
@@ -165,7 +166,8 @@ def test_random_relabelings_are_recanonicalized(design11):
             )
         )
         # still isomorphic to the representative, and canonical only if equal
-        assert find_family_isomorphism(relabeled, design11.blocks, 11) is not None
+        found = find_family_isomorphism(relabeled, design11.blocks, 11, MatcherWork())
+        assert found is not None
         expected = relabeled == tuple(sorted(design11.blocks, reverse=True))
         assert blocks_are_canonical(relabeled, 11) is expected
 
@@ -185,7 +187,8 @@ def test_extension_of_the_biplane(design11, design12):
     assert extended.lam == 2
     assert len(extended.blocks) == 22
     # extending the unique biplane gives the unique 3-design
-    assert find_family_isomorphism(extended.blocks, design12.blocks, 12) is not None
+    found = find_family_isomorphism(extended.blocks, design12.blocks, 12, MatcherWork())
+    assert found is not None
 
 
 def test_extension_restricts_back(design11):
@@ -210,8 +213,9 @@ def test_extension_rejects_bad_input():
 
 
 def test_design_automorphism_orders(design11, design12):
-    assert setwise_stabilizer_perms(design11.blocks, design11.points).order == 660
-    group = setwise_stabilizer_perms(design12.blocks, design12.points)
+    group = setwise_stabilizer_perms(design11.blocks, design11.points, MatcherWork())
+    assert group.order == 660
+    group = setwise_stabilizer_perms(design12.blocks, design12.points, MatcherWork())
     assert group.order == 7920
     # 3-transitivity on the 12 points: one orbit on ordered triples is
     # equivalent to one orbit on 3-subsets together with a stabilizer check
@@ -223,7 +227,8 @@ def test_design_automorphism_orders(design11, design12):
 def test_all_ksubsets_design_has_symmetric_group():
     blocks = tuple(ksubset_masks(5, 2))
     design = Design.verified(blocks, 5, 2)
-    assert setwise_stabilizer_perms(design.blocks, design.points).order == 120
+    group = setwise_stabilizer_perms(design.blocks, design.points, MatcherWork())
+    assert group.order == 120
 
 
 def test_covered_relation_matches_subset_counting(code11):
@@ -231,7 +236,7 @@ def test_covered_relation_matches_subset_counting(code11):
     # subset (sub & ~b == 0), so direct counting over masks reproduces the
     # design index
     blocks = code11.weight_class(5)
-    lam = t_design_lambda(blocks, 11, 2)
+    lam = check_t_design(blocks, 11, 2)[0]
     for sub in ksubset_masks(11, 2):
         covering = sum(1 for b in blocks if sub & ~b == 0)
         assert covering == lam
@@ -506,7 +511,10 @@ def test_labelled_count_matches_the_orbit_sum(params):
     labelled = count_labelled_designs(m, k, t, lam)
     assert labelled == LABELLED_DESIGNS[params]
     classes = enumerate_designs(*params)
-    orders = [setwise_stabilizer_perms(d.blocks, d.points).order for d in classes]
+    orders = [
+        setwise_stabilizer_perms(d.blocks, d.points, MatcherWork()).order
+        for d in classes
+    ]
     assert sum(factorial(m) // order for order in orders) == labelled
 
 

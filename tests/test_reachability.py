@@ -17,6 +17,7 @@ test needs lives in ``tests/oracles.py``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cregcert"
@@ -160,6 +161,39 @@ def defaulted_parameters(src: Path = SRC) -> set[str]:
 
 def test_parameters_with_defaults_are_pinned():
     assert defaulted_parameters() == DEFAULTED_PARAMETERS
+
+
+# every module-level ``*_BUDGET`` constant the package defines, by name and
+# value, so that a new or changed budget shows in this table's diff
+BUDGETS = {
+    "codes.SCAN_BUDGET": 1 << 23,
+    "codes.WORD_LINE_BUDGET": 1 << 18,
+    "designs.BLOCK_BUDGET": 64,
+    "designs.TABLE_BUDGET": 10**6,
+    "designs.CANON_NODE_BUDGET": 100,
+    "symmetry.ELEMENT_BUDGET": 10**6,
+    "symmetry.GENERATOR_BUDGET": 64,
+    "symmetry.MATCHER_BUDGET": 10**7,
+}
+
+
+def defined_budgets(src: Path = SRC) -> dict[str, int]:
+    """``module.NAME`` -> value for each module-level assignment to a name
+    ending in ``_BUDGET`` (an imported budget is not a definition)."""
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(f"cregcert.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and t.id.endswith("_BUDGET"):
+                        found[f"{path.stem}.{t.id}"] = getattr(module, t.id)
+    return found
+
+
+def test_budgets_are_pinned():
+    assert defined_budgets() == BUDGETS
 
 
 # each subcommand's option strings, so that an option no command reads

@@ -1,5 +1,5 @@
 from cregcert.codes import Code
-from cregcert.designs import t_design_lambda
+from cregcert.designs import check_t_design
 from cregcert.spectral import certify_uniformly_packed
 from cregcert.regularity import (
     certify_completely_regular,
@@ -87,7 +87,7 @@ def test_weight_classes_of_regular_codes_are_designs(code12, code11):
         for k in range(1, code.length + 1):
             wc = code.weight_class(k)
             if wc and k >= t:
-                assert t_design_lambda(wc, code.length, t) is not None
+                assert check_t_design(wc, code.length, t)[0] is not None
 
 
 def test_completely_transitive_both_codes(code12, aut12, code11, aut11):

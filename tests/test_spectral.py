@@ -8,7 +8,6 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cregcert import spectral
 from cregcert.codes import Code
 from cregcert.spectral import (
     certify_uniformly_packed,
@@ -16,7 +15,6 @@ from cregcert.spectral import (
     krawtchouk,
     krawtchouk_table,
     macwilliams_transform,
-    solve_rational_system,
     solve_unit_system,
 )
 
@@ -126,19 +124,11 @@ def test_unpackable_code():
     assert result.lambdas is None
 
 
-def test_solver_consistent_and_inconsistent():
-    solution = solve_rational_system([[1, 1], [1, -1]], [2, 0])
-    assert solution == [Fraction(1), Fraction(1)]
-    assert solve_rational_system([[1, 1], [2, 2]], [1, 3]) is None
-    underdetermined = solve_rational_system([[1, 1]], [2])
-    assert underdetermined == [Fraction(2), Fraction(0)]
-
-
-def sympy_solution(rows, rhs):
-    """RREF over QQ of [rows | rhs]: the solution with free variables at
+def sympy_unit_solution(rows):
+    """RREF over QQ of [rows | 1]: the solution with free variables at
     zero, or None when a pivot lands in the right-hand column."""
     width = len(rows[0])
-    augmented = sympy.Matrix([list(r) + [b] for r, b in zip(rows, rhs)])
+    augmented = sympy.Matrix([list(r) + [1] for r in rows])
     reduced, pivots = augmented.rref()
     if width in pivots:
         return None
@@ -146,42 +136,6 @@ def sympy_solution(rows, rhs):
     for i, c in enumerate(pivots):
         x[c] = Fraction(int(reduced[i, width].p), int(reduced[i, width].q))
     return tuple(x)
-
-
-def sympy_unit_solution(rows):
-    return sympy_solution(rows, [1] * len(rows))
-
-
-small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda width: st.lists(
-            st.tuples(
-                st.lists(small_fractions, min_size=width, max_size=width),
-                small_fractions,
-            ),
-            min_size=1,
-            max_size=6,
-        )
-    )
-)
-# the second row eliminates to all zeros, right-hand side included
-@example([([1, 2], 1), ([2, 4], 2)])
-@example([([1, 2], 1), ([2, 4], 3)])  # ... and to 0 = 1
-@example([([F(1, 2), F(1, 3)], 1), ([F(2, 3), F(-1, 4)], F(5, 7))])
-@example([([F(1, 2), 1, 0], F(-1, 3)), ([1, 2, 0], F(-2, 3)), ([0, 0, F(3, 4)], 0)])
-def test_rational_system_matches_sympy(system):
-    rows = [row for row, _ in system]
-    rhs = [b for _, b in system]
-    solution = solve_rational_system(rows, rhs)
-    expected = sympy_solution(rows, rhs)
-    assert (solution is None) == (expected is None)
-    if solution is not None:
-        assert tuple(solution) == expected
-        assert all(type(v) is Fraction for v in solution)
 
 
 def fraction_transform(a):
@@ -225,16 +179,21 @@ def oracle_prefixes(code):
     return tuple(sorted({r[: rho + 1] for r in rows}))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    st.lists(
-        st.lists(st.integers(-2, 3), min_size=4, max_size=4), min_size=1, max_size=7
-    ).map(lambda rows: [tuple(r) for r in rows])
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.tuples(*[st.integers(-2, 3)] * width), min_size=1, max_size=7
+        )
+    )
 )
 @example([(1, 1, 0, 0)])  # underdetermined
 @example([(1, 2, 0, 0), (2, 4, 0, 0), (0, 0, 1, 1)])  # underdetermined, dependent rows
-@example([(1, 1, 0, 0), (2, 2, 0, 0)])  # inconsistent
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (2, -1, 0, 0)])  # a dependent row that fits
+@example([(1, 1, 0, 0), (2, 2, 0, 0)])  # the second row reduces to 0 = -1
 @example([(0, 0, 0, 0)])  # inconsistent, zero row
+@example([(1, 1), (1, -1), (1, 0)])  # overdetermined, consistent
+@example([(3, 2), (4, -3)])  # a unique solution with denominators
 def test_unit_system_matches_sympy(rows):
     assert solve_unit_system(rows) == sympy_unit_solution(rows)
 
@@ -260,15 +219,19 @@ def test_packing_matches_sympy(code):
     assert result.lambdas == expected
 
 
-def test_packing_solves_at_most_rho_plus_two_systems(code12, code11, monkeypatch):
-    calls = []
-    original = spectral.solve_rational_system
+class PassCounter(list):
+    """Rows that count the passes made over them."""
 
-    def counting(rows, rhs):
-        calls.append(len(rows))
-        return original(rows, rhs)
+    passes = 0
 
-    monkeypatch.setattr(spectral, "solve_rational_system", counting)
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_packing_solves_at_most_rho_plus_two_systems(code12, code11):
+    # one pass over the rows per round: each failing row raises the rank
+    # or proves inconsistency, and the last pass finds no failing row
     rng = random.Random(8)
     randoms = [
         Code(m, rng.sample(range(1 << m), rng.randint(1, min(12, 1 << m))))
@@ -276,6 +239,7 @@ def test_packing_solves_at_most_rho_plus_two_systems(code12, code11, monkeypatch
         for _ in range(3)
     ]
     for code in [code12, code11, Code(3, [0b000, 0b110, 0b101])] + randoms:
-        calls.clear()
-        certify_uniformly_packed(code)
-        assert 1 <= len(calls) <= code.covering_radius + 2
+        result = certify_uniformly_packed(code)
+        rows = PassCounter(result.rows)
+        assert solve_unit_system(rows) == result.lambdas
+        assert 1 <= rows.passes <= code.covering_radius + 2

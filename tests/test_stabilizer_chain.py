@@ -23,6 +23,7 @@ from cregcert.hamming import LengthError
 from cregcert.symmetry import (
     GraphAutomorphism,
     GroupHandle,
+    MatcherWork,
     ResourceBudgetError,
     StabilizerChain,
     apply_mask,
@@ -224,7 +225,7 @@ def block_families(draw):
 def test_setwise_stabilizer_matches_brute_force(case):
     m, family = case
     brute = brute_force_stabilizer(family, m)
-    group = setwise_stabilizer_perms(family, m)
+    group = setwise_stabilizer_perms(family, m, MatcherWork())
     assert group.order == len(brute)
     assert all(GraphAutomorphism(0, p) in group.chain for p in brute)
     assert list(group.generators) == greedy_generators(brute, m)
@@ -233,15 +234,15 @@ def test_setwise_stabilizer_matches_brute_force(case):
 def test_stabilizer_budget_is_checked_before_listing():
     # the symmetric group on 20 points: the order passes 10^6 after a few levels
     with pytest.raises(ResourceBudgetError, match="1000000"):
-        setwise_stabilizer_perms([1 << i for i in range(20)], 20)
+        setwise_stabilizer_perms([1 << i for i in range(20)], 20, MatcherWork())
 
 
 def test_design_group_is_held_to_the_element_budget(design12, element_budget):
     element_budget(7919)
     with pytest.raises(ResourceBudgetError, match="7919"):
-        setwise_stabilizer_perms(design12.blocks, 12)
+        setwise_stabilizer_perms(design12.blocks, 12, MatcherWork())
     element_budget(7920)
-    group = setwise_stabilizer_perms(design12.blocks, 12)
+    group = setwise_stabilizer_perms(design12.blocks, 12, MatcherWork())
     assert group.order == 7920
 
 

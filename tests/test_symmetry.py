@@ -9,6 +9,7 @@ from cregcert.hamming import ksubset_masks
 from cregcert.symmetry import (
     GraphAutomorphism,
     GroupHandle,
+    MatcherWork,
     ResourceBudgetError,
     apply_mask,
     closure,
@@ -150,13 +151,13 @@ def test_stabilizer_of_weight6_supports(m11_stabilizer):
 
 
 def test_stabilizer_of_weight5_supports(code11):
-    stab = setwise_stabilizer_perms(code11.weight_class(5), 11)
+    stab = setwise_stabilizer_perms(code11.weight_class(5), 11, MatcherWork())
     assert stab.order == 660
 
 
 def test_stabilizer_of_singletons_is_symmetric_group():
     family = [1 << i for i in range(4)]
-    stab = setwise_stabilizer_perms(family, 4)
+    stab = setwise_stabilizer_perms(family, 4, MatcherWork())
     assert stab.order == factorial(4)
 
 
@@ -171,7 +172,7 @@ def test_point_stabilizer_transitive_on_small_spheres(m11_stabilizer):
 
 
 def test_psl_has_two_orbits_on_3_subsets(design11):
-    group = setwise_stabilizer_perms(design11.blocks, design11.points)
+    group = setwise_stabilizer_perms(design11.blocks, design11.points, MatcherWork())
     assert group.order == 660
     parts = orbits_on_ksubsets(group, 3)
     assert sorted(len(p) for p in parts) == [55, 110]
@@ -232,7 +233,7 @@ def test_family_isomorphism_finds_relabelings(design11):
     relabeled = [
         sum(1 << perm[i] for i in range(11) if (b >> i) & 1) for b in design11.blocks
     ]
-    found = find_family_isomorphism(relabeled, design11.blocks, 11)
+    found = find_family_isomorphism(relabeled, design11.blocks, 11, MatcherWork())
     assert found is not None
     image = {
         sum(1 << found[i] for i in range(11) if (b >> i) & 1) for b in relabeled
@@ -303,6 +304,27 @@ def test_find_equivalence_absent(code12):
     evens = [w for w in range(1 << 12) if w.bit_count() % 2 == 0][:24]
     other = Code(12, evens)
     assert find_equivalence(code12, other) is None
+
+
+def test_matcher_budget_sums_over_one_group_search(code12, matcher_budget):
+    # the group search makes 67,928 containment tests, 35,364 of them in
+    # its stabilizer search and the rest over 23 transversal searches:
+    # one test fewer stops the call, though each search alone fits
+    matcher_budget(67_928)
+    assert code_automorphism_group(code12).order == 190_080
+    matcher_budget(67_927)
+    work = MatcherWork()
+    family = tuple(w ^ code12.words[0] for w in code12.words)
+    setwise_stabilizer_perms(family, 12, work)
+    assert work.tests == 35_364
+    with pytest.raises(ResourceBudgetError, match="matcher budget of 67927"):
+        code_automorphism_group(code12)
+
+
+def test_find_equivalence_is_held_to_the_matcher_budget(code12, matcher_budget):
+    matcher_budget(100)
+    with pytest.raises(ResourceBudgetError, match="matcher budget of 100"):
+        find_equivalence(code12, code12)
 
 
 def test_ksubset_domain_sizes():

@@ -7,8 +7,10 @@ chains (deterministic Schreier–Sims: exact order and membership, every
 chain held to ``ELEMENT_BUDGET`` on its order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
 pruning, full code automorphism groups, and the search for a
-coordinate permutation carrying one code onto another, each search held
-to ``MATCHER_BUDGET``.  Groups are generators and a stabilizer chain.
+coordinate permutation carrying one code onto another.  Every search
+runs on a ``BlockFamily``, indexed and colour-refined once, whose count
+holds the searches of one call to ``MATCHER_BUDGET``.  Groups are
+generators and a stabilizer chain.
 
 Composition convention, fixed globally: ``compose(x, y)`` means "apply
 x first, then y", matching right-action exponent notation.
@@ -31,10 +33,11 @@ ELEMENT_BUDGET = 10**6
 # the most generators a replayed group witness may list; the producer
 # lists 27 at length 12 and 26 at length 11
 GENERATOR_BUDGET = 64
-# the most containment tests (a partial block against a destination
-# block) the matcher searches of one code_automorphism_group or
-# find_equivalence call may make; the certificates need 67,928 (length
-# 12), 36,913 (length 11) and 1,137 (the equivalence)
+# the most tests the matcher searches of one code_automorphism_group or
+# find_equivalence call may make: a containment test of a partial block
+# against a destination block counts one, a colour refinement round
+# blocks x points; the certificates need 74,840 (length 12), 43,249
+# (length 11) and 1,713 (the equivalence)
 MATCHER_BUDGET = 10**7
 
 
@@ -324,112 +327,93 @@ def orbits(group: GroupHandle) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _refine_point_colors(family: Sequence[int], m: int) -> tuple[int, ...]:
-    """Iterated point coloring from block incidence, to a fixpoint.
+class BlockFamily:
+    """A block family indexed for the permutation backtracking: its sorted
+    distinct blocks, their sizes, the blocks through each point, and the
+    point colours refined once from that incidence.
 
-    A point's signature combines its current color with the multiset of
-    (size, member-color multiset) signatures of the blocks through it.
-    """
-    blocks_through = [[] for _ in range(m)]
-    members = []
-    for bi, block in enumerate(family):
-        pts = [i for i in range(m) if (block >> i) & 1]
-        members.append(pts)
-        for p in pts:
-            blocks_through[p].append(bi)
-    colors = [0] * m
-    while True:
-        block_sigs = [
-            (len(pts), tuple(sorted(colors[p] for p in pts))) for pts in members
-        ]
-        sigs = [
-            (colors[p], tuple(sorted(block_sigs[bi] for bi in blocks_through[p])))
-            for p in range(m)
-        ]
-        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        fresh = [remap[s] for s in sigs]
-        if fresh == colors:
-            return tuple(colors)
-        colors = fresh
-
-
-class MatcherWork:
-    """The containment tests made so far by the matcher searches of one
-    call, which ``_FamilyMatcher.search`` holds to MATCHER_BUDGET."""
-
-    tests = 0
-
-
-class _FamilyMatcher:
-    """Backtracking search for permutations mapping one block family
-    onto another (or itself, for setwise stabilizers).
-
-    Points are assigned in ascending order; a candidate image survives
-    only while every partially-mapped source block still fits inside
-    some destination block of its size (exactly equal once complete).
-    Each fit test is counted in ``work``.
+    ``tests`` counts the work of one group or equivalence search, held to
+    MATCHER_BUDGET: each refinement round charges blocks x points, each
+    containment test of a partial block against a destination block one,
+    and a search charges the work of indexing its destination.
     """
 
-    def __init__(
-        self, src: Sequence[int], dst: Sequence[int], m: int, work: MatcherWork
-    ):
+    def __init__(self, blocks: Iterable[int], m: int):
         self.m = m
-        self.work = work
-        self.src = tuple(sorted(set(src)))
-        self.dst = tuple(sorted(set(dst)))
-        self.dst_set = frozenset(self.dst)
-        self.sizes = [b.bit_count() for b in self.src]
-        self.dst_by_size: dict[int, list[int]] = {}
-        for b in self.dst:
-            self.dst_by_size.setdefault(b.bit_count(), []).append(b)
-        self.blocks_through = [[] for _ in range(m)]
-        for bi, block in enumerate(self.src):
-            for i in range(m):
-                if (block >> i) & 1:
-                    self.blocks_through[i].append(bi)
-        src_colors = _refine_point_colors(self.src, m)
-        dst_colors = _refine_point_colors(self.dst, m)
-        self.compatible = sorted(src_colors) == sorted(dst_colors) and len(
-            self.src
-        ) == len(self.dst)
-        self.candidates = [
-            tuple(q for q in range(m) if dst_colors[q] == src_colors[p])
-            for p in range(m)
-        ]
+        self.tests = 0
+        self.blocks = tuple(sorted(set(blocks)))
+        self.block_set = frozenset(self.blocks)
+        members = [[p for p in range(m) if (b >> p) & 1] for b in self.blocks]
+        self.sizes = [len(pts) for pts in members]
+        self.by_size: dict[int, list[int]] = {}
+        self.through: list[list[int]] = [[] for _ in range(m)]
+        for bi, pts in enumerate(members):
+            self.by_size.setdefault(len(pts), []).append(self.blocks[bi])
+            for p in pts:
+                self.through[p].append(bi)
+        # to a fixpoint, a point's signature combines its colour with the
+        # multiset of the member-colour multisets of the blocks through it
+        colors, fresh = None, [0] * m
+        while fresh != colors:
+            colors = fresh
+            block_sigs = [tuple(sorted(colors[p] for p in pts)) for pts in members]
+            sigs = [
+                (colors[p], tuple(sorted(block_sigs[bi] for bi in self.through[p])))
+                for p in range(m)
+            ]
+            remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            fresh = [remap[s] for s in sigs]
+            self.charge(len(self.blocks) * m)
+        self.colors = colors
+        self.cells = {c: [p for p in range(m) if colors[p] == c] for c in set(colors)}
 
-    def search(self, prefix: Sequence[int] = ()):
-        """Yield image tuples (one per matching permutation) in
-        lexicographic order; point i < len(prefix) is pinned to prefix[i].
-        Raises ResourceBudgetError at a node once MATCHER_BUDGET is passed."""
-        if not self.compatible:
+    def charge(self, tests: int) -> None:
+        self.tests += tests
+        if self.tests > MATCHER_BUDGET:
+            raise ResourceBudgetError(
+                f"the matcher searches made {self.tests} tests, "
+                f"past the matcher budget of {MATCHER_BUDGET}"
+            )
+
+    def matches(self, dst: BlockFamily, prefix: Sequence[int] = ()):
+        """Yield image tuples, one per permutation mapping this family onto
+        ``dst``, in lexicographic order; point i < len(prefix) is pinned
+        to prefix[i].
+
+        Points are assigned in ascending order, each to a point of its
+        colour; a candidate image survives only while every partially
+        mapped block still fits inside some destination block of its size
+        (exactly equal once complete).
+        """
+        if dst is not self:
+            self.charge(dst.tests)
+        mismatch = len(self.blocks) != len(dst.blocks)
+        if mismatch or sorted(self.colors) != sorted(dst.colors):
             return
-        m, work = self.m, self.work
-        image = [-1] * m
-        partial = [0] * len(self.src)
-        free = list(self.sizes)
+        m, sizes, through = self.m, self.sizes, self.through
+        image = [0] * m
+        partial = [0] * len(self.blocks)
+        free = list(sizes)
         used = 0
 
         def feasible(bi: int) -> bool:
             pmask = partial[bi]
             if free[bi] == 0:
-                return pmask in self.dst_set
-            for d in self.dst_by_size.get(self.sizes[bi], ()):
-                work.tests += 1
+                return pmask in dst.block_set
+            targets = dst.by_size.get(sizes[bi], ())
+            for n, d in enumerate(targets, 1):
                 if pmask & ~d == 0:
+                    self.charge(n)
                     return True
+            self.charge(len(targets))
             return False
 
         def extend(p: int):
             nonlocal used
-            if work.tests > MATCHER_BUDGET:
-                raise ResourceBudgetError(
-                    f"the matcher searches made {work.tests} containment tests, "
-                    f"past the matcher budget of {MATCHER_BUDGET}"
-                )
             if p == m:
                 yield tuple(image)
                 return
-            candidates = self.candidates[p]
+            candidates = dst.cells.get(self.colors[p], ())
             if p < len(prefix):
                 candidates = (prefix[p],) if prefix[p] in candidates else ()
             for q in candidates:
@@ -438,44 +422,41 @@ class _FamilyMatcher:
                     continue
                 image[p] = q
                 used |= bit
-                touched = self.blocks_through[p]
-                for bi in touched:
+                for bi in through[p]:
                     partial[bi] |= bit
                     free[bi] -= 1
-                if all(feasible(bi) for bi in touched):
+                if all(feasible(bi) for bi in through[p]):
                     yield from extend(p + 1)
-                for bi in touched:
+                for bi in through[p]:
                     partial[bi] &= ~bit
                     free[bi] += 1
-                image[p] = -1
                 used &= ~bit
 
         yield from extend(0)
 
 
 def find_family_isomorphism(
-    src: Sequence[int], dst: Sequence[int], m: int, work: MatcherWork
+    src: BlockFamily, dst: BlockFamily
 ) -> tuple[int, ...] | None:
     """One permutation mapping the source block family onto the
     destination family, or None when the exhausted search proves there
     is none."""
-    return next(_FamilyMatcher(src, dst, m, work).search(), None)
+    return next(src.matches(dst), None)
 
 
-def _family_stabilizer_chain(family: Sequence[int], m: int, work: MatcherWork):
+def _family_stabilizer_chain(family: BlockFamily) -> StabilizerChain:
     """The chain of the permutations preserving the family, from the last
     base point down: with the chain at the stabilizer of points 0..d, each
     image of point d outside its level-d orbit gets one search for an
     element fixing points 0..d-1 and sending d there.  Every candidate is
     in the orbit or searched exhaustively, so the order is exact."""
-    matcher = _FamilyMatcher(family, family, m, work)
-    chain = StabilizerChain(m)
+    chain = StabilizerChain(family.m)
     orbit_lengths = []
-    for d in range(m - 1, -1, -1):
-        for q in matcher.candidates[d]:
+    for d in range(family.m - 1, -1, -1):
+        for q in family.cells[family.colors[d]]:
             if 2 * q in chain.transversal[d]:
                 continue
-            perm = next(matcher.search(tuple(range(d)) + (q,)), None)
+            perm = next(family.matches(family, tuple(range(d)) + (q,)), None)
             if perm is not None:
                 chain.add(GraphAutomorphism(0, perm))
         orbit_lengths.append(len(chain.transversal[d]))
@@ -526,9 +507,7 @@ def _greedy_generators(group: StabilizerChain) -> list[GraphAutomorphism]:
     return gens
 
 
-def setwise_stabilizer_perms(
-    family: Sequence[int], m: int, work: MatcherWork
-) -> GroupHandle:
+def setwise_stabilizer_perms(family: BlockFamily) -> GroupHandle:
     """The coordinate permutations preserving the block family setwise, as
     the backtracking chain and reduced generators.
 
@@ -538,14 +517,14 @@ def setwise_stabilizer_perms(
     (``_greedy_generators``), which keeps only sets that reach the
     chain's order; each is checked to map the family onto itself.
     """
-    if not family:
+    if not family.blocks:
         raise ValueError("the block family must be nonempty")
-    group = _family_stabilizer_chain(family, m, work)
+    group = _family_stabilizer_chain(family)
     gens = _greedy_generators(group)
-    blocks = set(family)
+    blocks = family.block_set
     if any({permute_mask(g.perm, b) for b in blocks} != blocks for g in gens):
         raise AssertionError("a generator does not stabilize the family")
-    return GroupHandle(m, tuple(gens), group)
+    return GroupHandle(family.m, tuple(gens), group)
 
 
 def code_automorphism_group(code: Code) -> GroupHandle:
@@ -556,16 +535,19 @@ def code_automorphism_group(code: Code) -> GroupHandle:
     reachable codeword, then the stabilizer chain of all of them, as
     ``closure`` builds it for a replayed witness.  The chain order must
     equal the stabilizer order times the orbit length of the least word.
+    One indexed source family serves every search, and carries their
+    count.
     """
     m = code.length
     base = code.words[0]
-    family = tuple(w ^ base for w in code.words)
-    work = MatcherWork()
-    stab = setwise_stabilizer_perms(family, m, work)
+    shifted = tuple(w ^ base for w in code.words)
+    family = BlockFamily(shifted, m)
+    stab = setwise_stabilizer_perms(family)
 
     transversals: list[GraphAutomorphism] = []
-    for beta in family[1:]:
-        perm = find_family_isomorphism(family, tuple(w ^ beta for w in family), m, work)
+    for beta in shifted[1:]:
+        dst = BlockFamily((w ^ beta for w in shifted), m)
+        perm = find_family_isomorphism(family, dst)
         if perm is None:
             continue
         x = GraphAutomorphism(permute_mask_inv(perm, beta), perm)
@@ -592,17 +574,14 @@ def find_equivalence(c1: Code, c2: Code) -> GraphAutomorphism | None:
     """A coordinate permutation mapping c1 onto c2 (as a flip-free
     automorphism), or a certified absence of one.
 
-    Distance distributions are compared first as an invariant filter;
-    the backtracking afterwards is exhaustive, so None means no
-    permutation maps c1 onto c2.  Equivalences that also flip
+    One matcher search, which refuses codes of unequal size or point
+    colours before backtracking; the backtracking is exhaustive, so None
+    means no permutation maps c1 onto c2.  Equivalences that also flip
     coordinates are not searched: the classification's witness sigma is
     a permutation.
     """
     if c1.length != c2.length:
         raise LengthError(f"length mismatch: {c1.length} vs {c2.length}")
-    if c1.size != c2.size:
-        return None
-    if c1.size >= 2 and c1.distance_distribution != c2.distance_distribution:
-        return None
-    perm = find_family_isomorphism(c1.words, c2.words, c1.length, MatcherWork())
+    src, dst = BlockFamily(c1.words, c1.length), BlockFamily(c2.words, c2.length)
+    perm = find_family_isomorphism(src, dst)
     return None if perm is None else GraphAutomorphism(0, perm)

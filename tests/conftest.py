@@ -5,7 +5,7 @@ from cregcert.classify import build_report, certify_theorem, classify
 from cregcert.designs import enumerate_designs
 from cregcert.hadamard import code_of, paley_hadamard_12
 from cregcert.symmetry import (
-    MatcherWork,
+    BlockFamily,
     code_automorphism_group,
     setwise_stabilizer_perms,
 )
@@ -60,7 +60,7 @@ def aut11(code11):
 
 @pytest.fixture(scope="session")
 def m11_stabilizer(code12):
-    return setwise_stabilizer_perms(code12.weight_class(6), 12, MatcherWork())
+    return setwise_stabilizer_perms(BlockFamily(code12.weight_class(6), 12))
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from cregcert.spectral import (
     macwilliams_transform,
 )
 from cregcert.symmetry import (
-    MatcherWork,
+    BlockFamily,
     apply_mask,
     compose,
     find_family_isomorphism,
@@ -125,10 +125,12 @@ def test_criterion_06_design_uniqueness():
     extend(0, [])
     reps = []
     for sol in labeled:
-        if all(find_family_isomorphism(sol, r, 7, MatcherWork()) is None for r in reps):
+        source = BlockFamily(sol, 7)
+        if all(find_family_isomorphism(source, BlockFamily(r, 7)) is None for r in reps):
             reps.append(sol)
     assert len(reps) == 1
-    found = find_family_isomorphism(reps[0], fano_classes[0].blocks, 7, MatcherWork())
+    target = BlockFamily(fano_classes[0].blocks, 7)
+    found = find_family_isomorphism(BlockFamily(reps[0], 7), target)
     assert found is not None
     report(6, "unique 2-(11,5,2) and 3-(12,6,2); calibration case matches oracle")
 
@@ -140,14 +142,14 @@ def test_criterion_07_group_orders(aut12, code12):
     assert aut12.order // stab.order == 24
     d12 = enumerate_designs(3, 12, 6, 2)[0]
     d11 = enumerate_designs(2, 11, 5, 2)[0]
-    assert setwise_stabilizer_perms(d12.blocks, d12.points, MatcherWork()).order == 7920
-    assert setwise_stabilizer_perms(d11.blocks, d11.points, MatcherWork()).order == 660
+    assert setwise_stabilizer_perms(BlockFamily(d12.blocks, d12.points)).order == 7920
+    assert setwise_stabilizer_perms(BlockFamily(d11.blocks, d11.points)).order == 660
     report(7, "group orders 190080 / 7920 (index 24); design groups 7920 / 660")
 
 
 def test_criterion_08_orbit_counts(m11_stabilizer, design11):
     assert len(orbits_on_ksubsets(m11_stabilizer, 4)) == 2
-    psl = setwise_stabilizer_perms(design11.blocks, design11.points, MatcherWork())
+    psl = setwise_stabilizer_perms(BlockFamily(design11.blocks, design11.points))
     assert psl.order == 660
     assert len(orbits_on_ksubsets(psl, 3)) == 2
     report(8, "two orbits on 4-subsets (order 7920) and 3-subsets (order 660)")

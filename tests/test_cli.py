@@ -697,6 +697,31 @@ def test_main_reuses_one_parser(workdir, code11_file, capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
+# SHA-256 of the generator file `aut` writes for a reference code translated
+# by a nonzero word: the searched family, shifted by the least codeword, is
+# not in ascending order, and the generators are shifted back
+PINNED_AUT_SHA256 = {
+    "code12 101": "ac87bb6fa07718e7a2f09fda0f6ffa399a7adc5bbf9aa16bbb869ce084da5245",
+    "code11 11": "83b1ff04f064bba8d4624d0d422c8fcfb1c47dc629b0f4d1dcb19f9f9102ac8c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_AUT_SHA256))
+def test_aut_of_translated_codes_is_pinned(case, code12, code11, tmp_path, capsys):
+    from cregcert import cli
+
+    name, shift = case.split()
+    code = {"code12": code12, "code11": code11}[name]
+    translated = Code(code.length, (w ^ int(shift, 2) for w in code.words))
+    assert translated.words[0] != 0
+    codefile, out = tmp_path / "code", tmp_path / "gens"
+    codefile.write_text(translated.to_text())
+    assert cli.main(["aut", str(codefile), "--out", str(out)]) == 0
+    order, count = {"code12": (190_080, 27), "code11": (15_840, 26)}[name]
+    assert capsys.readouterr().out == f"order: {order}\ngenerators: {count}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_AUT_SHA256[case]
+
+
 # SHA-256 of each command's text output, then its --report JSON, then its
 # exit code, for the two reference codes and one fixed random code whose
 # distance distribution has proper fractions (certify creg exits 1 on it).

@@ -17,7 +17,7 @@ from cregcert.designs import (
 )
 from cregcert.hamming import ksubset_masks, points_to_mask
 from cregcert.symmetry import (
-    MatcherWork,
+    BlockFamily,
     ResourceBudgetError,
     find_family_isomorphism,
     permute_mask,
@@ -120,10 +120,12 @@ def test_enumerate_fano_with_brute_force_oracle():
     assert len(found) == 30  # labeled Fano planes with descending blocks
     reps = []
     for sol in found:
-        if all(find_family_isomorphism(sol, r, 7, MatcherWork()) is None for r in reps):
+        source = BlockFamily(sol, 7)
+        if all(find_family_isomorphism(source, BlockFamily(r, 7)) is None for r in reps):
             reps.append(sol)
     assert len(reps) == 1
-    found = find_family_isomorphism(reps[0], classes[0].blocks, 7, MatcherWork())
+    target = BlockFamily(classes[0].blocks, 7)
+    found = find_family_isomorphism(BlockFamily(reps[0], 7), target)
     assert found is not None
 
 
@@ -166,7 +168,8 @@ def test_random_relabelings_are_recanonicalized(design11):
             )
         )
         # still isomorphic to the representative, and canonical only if equal
-        found = find_family_isomorphism(relabeled, design11.blocks, 11, MatcherWork())
+        target = BlockFamily(design11.blocks, 11)
+        found = find_family_isomorphism(BlockFamily(relabeled, 11), target)
         assert found is not None
         expected = relabeled == tuple(sorted(design11.blocks, reverse=True))
         assert blocks_are_canonical(relabeled, 11) is expected
@@ -187,7 +190,8 @@ def test_extension_of_the_biplane(design11, design12):
     assert extended.lam == 2
     assert len(extended.blocks) == 22
     # extending the unique biplane gives the unique 3-design
-    found = find_family_isomorphism(extended.blocks, design12.blocks, 12, MatcherWork())
+    target = BlockFamily(design12.blocks, 12)
+    found = find_family_isomorphism(BlockFamily(extended.blocks, 12), target)
     assert found is not None
 
 
@@ -213,9 +217,9 @@ def test_extension_rejects_bad_input():
 
 
 def test_design_automorphism_orders(design11, design12):
-    group = setwise_stabilizer_perms(design11.blocks, design11.points, MatcherWork())
+    group = setwise_stabilizer_perms(BlockFamily(design11.blocks, design11.points))
     assert group.order == 660
-    group = setwise_stabilizer_perms(design12.blocks, design12.points, MatcherWork())
+    group = setwise_stabilizer_perms(BlockFamily(design12.blocks, design12.points))
     assert group.order == 7920
     # 3-transitivity on the 12 points: one orbit on ordered triples is
     # equivalent to one orbit on 3-subsets together with a stabilizer check
@@ -227,7 +231,7 @@ def test_design_automorphism_orders(design11, design12):
 def test_all_ksubsets_design_has_symmetric_group():
     blocks = tuple(ksubset_masks(5, 2))
     design = Design.verified(blocks, 5, 2)
-    group = setwise_stabilizer_perms(design.blocks, design.points, MatcherWork())
+    group = setwise_stabilizer_perms(BlockFamily(design.blocks, design.points))
     assert group.order == 120
 
 
@@ -512,7 +516,7 @@ def test_labelled_count_matches_the_orbit_sum(params):
     assert labelled == LABELLED_DESIGNS[params]
     classes = enumerate_designs(*params)
     orders = [
-        setwise_stabilizer_perms(d.blocks, d.points, MatcherWork()).order
+        setwise_stabilizer_perms(BlockFamily(d.blocks, d.points)).order
         for d in classes
     ]
     assert sum(factorial(m) // order for order in orders) == labelled

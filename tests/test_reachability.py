@@ -131,7 +131,7 @@ DEFAULTED_PARAMETERS = {
     "designs.blocks_are_canonical(node_budget)",
     "symmetry.StabilizerChain.__init__(generators)",
     "symmetry.StabilizerChain.sift(start)",
-    "symmetry._FamilyMatcher.search(prefix)",
+    "symmetry.BlockFamily.matches(prefix)",
 }
 
 

@@ -21,9 +21,9 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from cregcert.codes import Code
 from cregcert.hamming import LengthError
 from cregcert.symmetry import (
+    BlockFamily,
     GraphAutomorphism,
     GroupHandle,
-    MatcherWork,
     ResourceBudgetError,
     StabilizerChain,
     apply_mask,
@@ -225,7 +225,7 @@ def block_families(draw):
 def test_setwise_stabilizer_matches_brute_force(case):
     m, family = case
     brute = brute_force_stabilizer(family, m)
-    group = setwise_stabilizer_perms(family, m, MatcherWork())
+    group = setwise_stabilizer_perms(BlockFamily(family, m))
     assert group.order == len(brute)
     assert all(GraphAutomorphism(0, p) in group.chain for p in brute)
     assert list(group.generators) == greedy_generators(brute, m)
@@ -234,15 +234,15 @@ def test_setwise_stabilizer_matches_brute_force(case):
 def test_stabilizer_budget_is_checked_before_listing():
     # the symmetric group on 20 points: the order passes 10^6 after a few levels
     with pytest.raises(ResourceBudgetError, match="1000000"):
-        setwise_stabilizer_perms([1 << i for i in range(20)], 20, MatcherWork())
+        setwise_stabilizer_perms(BlockFamily([1 << i for i in range(20)], 20))
 
 
 def test_design_group_is_held_to_the_element_budget(design12, element_budget):
     element_budget(7919)
     with pytest.raises(ResourceBudgetError, match="7919"):
-        setwise_stabilizer_perms(design12.blocks, 12, MatcherWork())
+        setwise_stabilizer_perms(BlockFamily(design12.blocks, 12))
     element_budget(7920)
-    group = setwise_stabilizer_perms(design12.blocks, 12, MatcherWork())
+    group = setwise_stabilizer_perms(BlockFamily(design12.blocks, 12))
     assert group.order == 7920
 
 

@@ -1,15 +1,17 @@
 import random
 import re
+from collections import Counter
 from math import comb, factorial
 
 import pytest
 
+from cregcert import symmetry
 from cregcert.codes import Code
 from cregcert.hamming import ksubset_masks
 from cregcert.symmetry import (
+    BlockFamily,
     GraphAutomorphism,
     GroupHandle,
-    MatcherWork,
     ResourceBudgetError,
     apply_mask,
     closure,
@@ -151,13 +153,13 @@ def test_stabilizer_of_weight6_supports(m11_stabilizer):
 
 
 def test_stabilizer_of_weight5_supports(code11):
-    stab = setwise_stabilizer_perms(code11.weight_class(5), 11, MatcherWork())
+    stab = setwise_stabilizer_perms(BlockFamily(code11.weight_class(5), 11))
     assert stab.order == 660
 
 
 def test_stabilizer_of_singletons_is_symmetric_group():
     family = [1 << i for i in range(4)]
-    stab = setwise_stabilizer_perms(family, 4, MatcherWork())
+    stab = setwise_stabilizer_perms(BlockFamily(family, 4))
     assert stab.order == factorial(4)
 
 
@@ -172,7 +174,7 @@ def test_point_stabilizer_transitive_on_small_spheres(m11_stabilizer):
 
 
 def test_psl_has_two_orbits_on_3_subsets(design11):
-    group = setwise_stabilizer_perms(design11.blocks, design11.points, MatcherWork())
+    group = setwise_stabilizer_perms(BlockFamily(design11.blocks, design11.points))
     assert group.order == 660
     parts = orbits_on_ksubsets(group, 3)
     assert sorted(len(p) for p in parts) == [55, 110]
@@ -233,7 +235,8 @@ def test_family_isomorphism_finds_relabelings(design11):
     relabeled = [
         sum(1 << perm[i] for i in range(11) if (b >> i) & 1) for b in design11.blocks
     ]
-    found = find_family_isomorphism(relabeled, design11.blocks, 11, MatcherWork())
+    target = BlockFamily(design11.blocks, 11)
+    found = find_family_isomorphism(BlockFamily(relabeled, 11), target)
     assert found is not None
     image = {
         sum(1 << found[i] for i in range(11) if (b >> i) & 1) for b in relabeled
@@ -300,30 +303,94 @@ def test_find_equivalence_after_relabeling(code12):
 
 
 def test_find_equivalence_absent(code12):
-    # 24 even-weight words cannot be equivalent: distributions differ
+    # 24 even-weight words cannot be equivalent: two of them lie at distance 2
     evens = [w for w in range(1 << 12) if w.bit_count() % 2 == 0][:24]
     other = Code(12, evens)
     assert find_equivalence(code12, other) is None
 
 
 def test_matcher_budget_sums_over_one_group_search(code12, matcher_budget):
-    # the group search makes 67,928 containment tests, 35,364 of them in
-    # its stabilizer search and the rest over 23 transversal searches:
-    # one test fewer stops the call, though each search alone fits
-    matcher_budget(67_928)
+    # the group search makes 74,840 tests: refining the source family
+    # takes 288 (two rounds of 24 blocks x 12 points), its stabilizer
+    # search 35,364 containment tests, and the 23 transversal searches the
+    # rest, each with the 288 of its destination's refinement: one test
+    # fewer stops the call, though each search alone fits
+    matcher_budget(74_840)
     assert code_automorphism_group(code12).order == 190_080
-    matcher_budget(67_927)
-    work = MatcherWork()
-    family = tuple(w ^ code12.words[0] for w in code12.words)
-    setwise_stabilizer_perms(family, 12, work)
-    assert work.tests == 35_364
-    with pytest.raises(ResourceBudgetError, match="matcher budget of 67927"):
+    matcher_budget(74_839)
+    family = BlockFamily((w ^ code12.words[0] for w in code12.words), 12)
+    assert family.tests == 288
+    setwise_stabilizer_perms(family)
+    assert family.tests == 288 + 35_364
+    with pytest.raises(ResourceBudgetError, match="matcher budget of 74839"):
         code_automorphism_group(code12)
 
 
+def test_matcher_budget_is_checked_at_each_destination_list(matcher_budget):
+    # a code closed under the cyclic shift has one point colour, so each
+    # node of its stabilizer search tests blocks against whole destination
+    # lists; the count passes the budget by at most one list (checked
+    # once per node, it passed by 102,846)
+    rng, full = random.Random(4), (1 << 16) - 1
+    words = set()
+    for w in (rng.randrange(1 << 16) for _ in range(200)):
+        words |= {(w << s | w >> 16 - s) & full for s in range(16)}
+    family = BlockFamily(words, 16)
+    assert len(family.cells) == 1
+    longest = max(len(blocks) for blocks in family.by_size.values())
+    matcher_budget(300_000)
+    with pytest.raises(ResourceBudgetError, match="matcher budget of 300000"):
+        setwise_stabilizer_perms(family)
+    assert 300_000 < family.tests <= 300_000 + longest
+
+
+def test_matcher_budget_counts_refinement(matcher_budget):
+    # a random code closed under swapping coordinates 1 and 2: no
+    # translated family has the source's colours, so the 39 transversal
+    # searches make no containment test; they charge the 960 tests that
+    # refine each destination, past the stabilizer search's 584 tests
+    rng, words = random.Random(2), set()
+    while len(words) < 40:
+        w = rng.randrange(1 << 12)
+        words |= {w, w & ~3 | (w & 1) << 1 | (w >> 1) & 1}
+    code = Code(12, words)
+    matcher_budget(38_984)
+    assert code_automorphism_group(code).order == 2
+    matcher_budget(10_000)
+    with pytest.raises(ResourceBudgetError, match="matcher budget of 10000"):
+        code_automorphism_group(code)
+
+
+def test_group_search_goes_through_the_module_names(code12, monkeypatch):
+    # benchmark tracers rebind these two functions on the module, so the
+    # group search must look them up there; one source family serves the
+    # stabilizer search and the 23 transversal searches
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in ("setwise_stabilizer_perms", "find_family_isomorphism"):
+        monkeypatch.setattr(symmetry, name, counting(name, getattr(symmetry, name)))
+    init = counting("BlockFamily", BlockFamily.__init__)
+    monkeypatch.setattr(BlockFamily, "__init__", init)
+    assert code_automorphism_group(code12).order == 190_080
+    assert calls == {
+        "setwise_stabilizer_perms": 1,
+        "find_family_isomorphism": 23,
+        "BlockFamily": 24,
+    }
+
+
 def test_find_equivalence_is_held_to_the_matcher_budget(code12, matcher_budget):
-    matcher_budget(100)
-    with pytest.raises(ResourceBudgetError, match="matcher budget of 100"):
+    # refining both families takes 576 tests, so the search itself passes
+    # the budget
+    matcher_budget(1_000)
+    with pytest.raises(ResourceBudgetError, match="matcher budget of 1000"):
         find_equivalence(code12, code12)
 
 

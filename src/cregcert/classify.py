@@ -560,6 +560,17 @@ def _read_group(p: _Inputs, witness: dict) -> None:
     p.group = GroupHandle(p.m, gens, chain)
 
 
+def _read_regularity(p: _Inputs, witness: dict) -> None:
+    """Counting identities of the intersection table, with no scan: row i
+    counts every codeword once, none nearer than i, and f_0 <= 1."""
+    for i, row in enumerate(witness["intersection_table"]):
+        if sum(row) != p.reference.size:
+            raise _Mismatch(f"row {i} of the intersection table sums to {sum(row)}")
+        first = next(j for j, f in enumerate(row) if f)
+        if first != i or row[0] > 1:
+            raise _Mismatch(f"row {i} of the intersection table opens with f_{first}")
+
+
 _SEARCHES = {
     "classification/design-uniqueness": _search_design,
     "classification/equivalence-witness": _search_sigma,
@@ -568,6 +579,7 @@ _SEARCHES = {
 _READERS = {
     "classification/design-uniqueness": _read_design,
     "classification/equivalence-witness": _read_sigma,
+    "theorem/complete-regularity": _read_regularity,
     "theorem/automorphism-group": _read_group,
 }
 

@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb
 
 from .certs import ResourceBudgetError
-from .hamming import check_length, ksubset_masks
+from .hamming import check_length
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class Design:
 
 def check_t_design(blocks, points: int, t: int):
     """Return (lam, None) if every t-subset is covered the same number of
-    times, else (None, (subset_a, subset_b)) for the first differing pair.
-    Blocks of unequal sizes raise ValueError."""
+    times, else (None, (a, b)): the least t-subset mask and the least one
+    covered otherwise.  Blocks of unequal sizes raise ValueError."""
     blocks = tuple(blocks)
     sizes = {b.bit_count() for b in blocks}
     if len(sizes) != 1:
@@ -91,10 +91,9 @@ def check_t_design(blocks, points: int, t: int):
         for b in blocks
         for sub in combinations([1 << i for i in range(points) if (b >> i) & 1], t)
     )
-    subsets = ksubset_masks(points, t)
-    first = next(subsets)
+    first, *rest = sorted(map(sum, combinations([1 << i for i in range(points)], t)))
     lam = counts[first]
-    for sub in subsets:
+    for sub in rest:
         if counts[sub] != lam:
             return None, (first, sub)
     return lam, None
@@ -301,6 +300,8 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
             f"{entries} table entries exceed the enumeration table budget of "
             f"{TABLE_BUDGET}"
         )
+    # combinations of the bits from the top down come in descending order
+    top_down = [1 << i for i in range(m - 1, -1, -1)]
     # need[sub]: how many more blocks must cover the subset sub of size
     # 1..t (the derived index lambda_s, less the chosen blocks through it)
     need = [0] * (1 << m)
@@ -308,18 +309,17 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
         cap = lambda_i(t, m, k, lam, s)
         if cap.denominator != 1 or cap > comb(m - s, k - s):
             return ()  # not integral, or more than the blocks through sub
-        for sub in ksubset_masks(m, s):
-            need[sub] = int(cap)
+        for sub in combinations(top_down, s):
+            need[sum(sub)] = int(cap)
 
-    candidates = tuple(reversed(tuple(ksubset_masks(m, k))))  # descending
+    candidate_bits = list(combinations(top_down, k))
+    candidates = tuple(map(sum, candidate_bits))
     # each candidate's subsets of size 1..t, largest first: those fill up
     # first, so the admission test fails on them early
-    cand_subs = []
-    for c in candidates:
-        bits = [1 << i for i in range(m) if (c >> i) & 1]
-        cand_subs.append(
-            tuple(sum(sub) for s in range(t, 0, -1) for sub in combinations(bits, s))
-        )
+    cand_subs = [
+        tuple(sum(sub) for s in range(t, 0, -1) for sub in combinations(bits[::-1], s))
+        for bits in candidate_bits
+    ]
     # the ascending indices of the candidates covering each subset, in
     # the order the candidates first reach the subsets: those of the top
     # points come first, and their coverers run out first

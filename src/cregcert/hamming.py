@@ -9,8 +9,6 @@ here only need m = 11 and 12.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 MAX_LENGTH = 24
 # bytes.isspace(); str.strip() and str.split() also take U+3000, U+00A0, ...
 ASCII_SPACE = " \t\n\r\x0b\x0c"
@@ -23,25 +21,6 @@ class LengthError(ValueError):
 def check_length(m: int) -> None:
     if not 1 <= m <= MAX_LENGTH:
         raise ValueError(f"word length must be in 1..{MAX_LENGTH}, got {m}")
-
-
-def ksubset_masks(m: int, k: int) -> Iterator[int]:
-    """All k-subset bitmasks of {1..m} in ascending numeric order.
-
-    Gosper's hack walks same-popcount masks in increasing value.
-    """
-    if not 0 <= k <= m:
-        raise ValueError(f"subset size {k} out of range 0..{m}")
-    if k == 0:
-        yield 0
-        return
-    v = (1 << k) - 1
-    top = 1 << m
-    while v < top:
-        yield v
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) // low) >> 2)
 
 
 def points_to_mask(points) -> int:

@@ -334,13 +334,22 @@ class BlockFamily:
 
     ``tests`` counts the work of one group or equivalence search, held to
     MATCHER_BUDGET: each refinement round charges blocks x points, each
-    containment test of a partial block against a destination block one,
-    and a search charges the work of indexing its destination.
+    containment test of a partial block against a destination block one.
+    A ``destination`` family charges its rounds here as they run; a
+    search charges the count of any other destination when it starts.
     """
 
     def __init__(self, blocks: Iterable[int], m: int):
-        self.m = m
-        self.tests = 0
+        self._index(blocks, m, self.charge)
+
+    def destination(self, blocks: Iterable[int]) -> BlockFamily:
+        """A family on the same points, refined under this family's count."""
+        dst = BlockFamily.__new__(BlockFamily)
+        dst._index(blocks, self.m, self.charge)
+        return dst
+
+    def _index(self, blocks: Iterable[int], m: int, charge) -> None:
+        self.m, self.tests = m, 0
         self.blocks = tuple(sorted(set(blocks)))
         self.block_set = frozenset(self.blocks)
         members = [[p for p in range(m) if (b >> p) & 1] for b in self.blocks]
@@ -363,7 +372,7 @@ class BlockFamily:
             ]
             remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
             fresh = [remap[s] for s in sigs]
-            self.charge(len(self.blocks) * m)
+            charge(len(self.blocks) * m)
         self.colors = colors
         self.cells = {c: [p for p in range(m) if colors[p] == c] for c in set(colors)}
 
@@ -546,7 +555,7 @@ def code_automorphism_group(code: Code) -> GroupHandle:
 
     transversals: list[GraphAutomorphism] = []
     for beta in shifted[1:]:
-        dst = BlockFamily((w ^ beta for w in shifted), m)
+        dst = family.destination(w ^ beta for w in shifted)
         perm = find_family_isomorphism(family, dst)
         if perm is None:
             continue
@@ -582,6 +591,6 @@ def find_equivalence(c1: Code, c2: Code) -> GraphAutomorphism | None:
     """
     if c1.length != c2.length:
         raise LengthError(f"length mismatch: {c1.length} vs {c2.length}")
-    src, dst = BlockFamily(c1.words, c1.length), BlockFamily(c2.words, c2.length)
-    perm = find_family_isomorphism(src, dst)
+    src = BlockFamily(c1.words, c1.length)
+    perm = find_family_isomorphism(src, src.destination(c2.words))
     return None if perm is None else GraphAutomorphism(0, perm)

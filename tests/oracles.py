@@ -11,7 +11,9 @@ by a route its own certificates do not take:
   and indices;
 - the slice lemma (transitivity on a cell from a codeword stabilizer's
   orbit on its sphere slice), against the full orbit partition;
-- orbits on the k-subsets of the coordinates, for design groups.
+- orbits on the k-subsets of the coordinates, for design groups;
+- the k-subsets themselves, by brute force over all 2^m words (the
+  package takes them from ``itertools.combinations``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 from cregcert.certs import FAIL, PASS, Certificate
 from cregcert.codes import Code
 from cregcert.hadamard import HadamardMatrix
-from cregcert.hamming import format_mask, ksubset_masks
+from cregcert.hamming import format_mask
 from cregcert.symmetry import (
     GraphAutomorphism,
     GroupHandle,
@@ -33,6 +35,13 @@ from cregcert.symmetry import (
     inverse,
     orbit_of,
 )
+
+
+def ksubset_masks(m: int, k: int) -> list[int]:
+    """All k-subset bitmasks of {1..m} in ascending numeric order."""
+    if not 0 <= k <= m:
+        raise ValueError(f"subset size {k} out of range 0..{m}")
+    return [v for v in range(1 << m) if v.bit_count() == k]
 
 
 @dataclass(frozen=True)

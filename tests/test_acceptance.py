@@ -13,7 +13,6 @@ from cregcert.classify import verify_report
 from cregcert.cli import main as cli_main
 from cregcert.codes import Code
 from cregcert.designs import check_t_design, enumerate_designs
-from cregcert.hamming import ksubset_masks
 from cregcert.regularity import certify_completely_regular
 from cregcert.spectral import (
     external_distance,
@@ -32,6 +31,7 @@ from cregcert.symmetry import (
 )
 from oracles import (
     is_matrix_automorphism,
+    ksubset_masks,
     orbits_on_ksubsets,
     theta,
     transfer_from_code_automorphism,

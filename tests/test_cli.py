@@ -201,6 +201,26 @@ def test_enumerate_designs_fano():
     assert result.stdout.startswith("1 isomorphism class(es)")
 
 
+# SHA-256 of what `enumerate-designs` prints, then of the file its --out
+# writes: the class representatives, their canonical labelings and the
+# order of their blocks are part of the output
+PINNED_DESIGNS_SHA256 = {
+    "2 7 3 1": "81dc1f0b59b7c2a4d13efe6e5d9aeadddbf4a673fdb904fab322298b9268f0f3",
+    "2 11 5 2": "2dd20e36fbae88f1518ec7e7b3ed4314c38f532246b00075a7a2da0361fee07f",
+    "3 12 6 2": "20e6b1a8ca32a43b9c5f5166a5c4ef1fe9a1bb31fce52e4636f3ac3b3129c0eb",
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_DESIGNS_SHA256))
+def test_enumerate_designs_outputs_are_pinned(params, tmp_path, capsys):
+    from cregcert import cli
+
+    out = tmp_path / "designs"
+    assert cli.main(["enumerate-designs", *params.split(), "--out", str(out)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode() + out.read_bytes())
+    assert digest.hexdigest() == PINNED_DESIGNS_SHA256[params]
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

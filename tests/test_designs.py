@@ -15,7 +15,7 @@ from cregcert.designs import (
     enumerate_designs,
     lambda_i,
 )
-from cregcert.hamming import ksubset_masks, points_to_mask
+from cregcert.hamming import points_to_mask
 from cregcert.symmetry import (
     BlockFamily,
     ResourceBudgetError,
@@ -23,7 +23,7 @@ from cregcert.symmetry import (
     permute_mask,
     setwise_stabilizer_perms,
 )
-from oracles import orbits_on_ksubsets
+from oracles import ksubset_masks, orbits_on_ksubsets
 
 
 def test_weight_classes_as_designs(code12, code11):

@@ -7,7 +7,6 @@ import pytest
 
 from cregcert import symmetry
 from cregcert.codes import Code
-from cregcert.hamming import ksubset_masks
 from cregcert.symmetry import (
     BlockFamily,
     GraphAutomorphism,
@@ -27,7 +26,7 @@ from cregcert.symmetry import (
     parse_automorphism,
     setwise_stabilizer_perms,
 )
-from oracles import orbits_on_ksubsets, vertex_stabilizer
+from oracles import ksubset_masks, orbits_on_ksubsets, vertex_stabilizer
 
 
 def random_automorphism(rng, m):
@@ -344,21 +343,43 @@ def test_matcher_budget_is_checked_at_each_destination_list(matcher_budget):
     assert 300_000 < family.tests <= 300_000 + longest
 
 
-def test_matcher_budget_counts_refinement(matcher_budget):
-    # a random code closed under swapping coordinates 1 and 2: no
-    # translated family has the source's colours, so the 39 transversal
-    # searches make no containment test; they charge the 960 tests that
-    # refine each destination, past the stabilizer search's 584 tests
+def _swap_closed_code() -> Code:
+    """A random 40-word length-12 code closed under swapping coordinates
+    1 and 2."""
     rng, words = random.Random(2), set()
     while len(words) < 40:
         w = rng.randrange(1 << 12)
         words |= {w, w & ~3 | (w & 1) << 1 | (w >> 1) & 1}
-    code = Code(12, words)
+    return Code(12, words)
+
+
+def test_matcher_budget_counts_refinement(matcher_budget):
+    # no translated family of this code has the source's colours, so the
+    # 39 transversal searches make no containment test; they charge the
+    # 960 tests that refine each destination, past the stabilizer
+    # search's 584 tests
+    code = _swap_closed_code()
     matcher_budget(38_984)
     assert code_automorphism_group(code).order == 2
     matcher_budget(10_000)
     with pytest.raises(ResourceBudgetError, match="matcher budget of 10000"):
         code_automorphism_group(code)
+
+
+def test_matcher_budget_holds_a_destination_refinement_to_one_round(matcher_budget):
+    # the source family's count sits just under the budget after the
+    # stabilizer search, and the first destination's refinement (two
+    # rounds of 40 blocks x 12 points) crosses it in its first round;
+    # charged only when its search began, all 960 came in at once
+    code = _swap_closed_code()
+    family = BlockFamily((w ^ code.words[0] for w in code.words), 12)
+    setwise_stabilizer_perms(family)
+    budget, one_round = family.tests + 1, 40 * 12
+    matcher_budget(budget)
+    with pytest.raises(ResourceBudgetError, match=f"matcher budget of {budget}") as err:
+        code_automorphism_group(code)
+    made = int(re.search(r"made (\d+) tests", str(err.value)).group(1))
+    assert budget < made <= budget + one_round
 
 
 def test_group_search_goes_through_the_module_names(code12, monkeypatch):
@@ -376,13 +397,13 @@ def test_group_search_goes_through_the_module_names(code12, monkeypatch):
 
     for name in ("setwise_stabilizer_perms", "find_family_isomorphism"):
         monkeypatch.setattr(symmetry, name, counting(name, getattr(symmetry, name)))
-    init = counting("BlockFamily", BlockFamily.__init__)
-    monkeypatch.setattr(BlockFamily, "__init__", init)
+    index = counting("BlockFamily._index", BlockFamily._index)
+    monkeypatch.setattr(BlockFamily, "_index", index)
     assert code_automorphism_group(code12).order == 190_080
     assert calls == {
         "setwise_stabilizer_perms": 1,
         "find_family_isomorphism": 23,
-        "BlockFamily": 24,
+        "BlockFamily._index": 24,
     }
 
 

@@ -571,6 +571,22 @@ def _read_regularity(p: _Inputs, witness: dict) -> None:
             raise _Mismatch(f"row {i} of the intersection table opens with f_{first}")
 
 
+def _read_transform(p: _Inputs, witness: dict) -> None:
+    """Two identities of the recorded transform, with no Krawtchouk table:
+    a'_0 counts the words, and a'_2 sums a_i K_2(i), where K_2(i) =
+    C(m-i, 2) - i(m-i) + C(i, 2)."""
+    a = [Fraction(v) for v in witness["distribution"]]
+    transform = [Fraction(v) for v in witness["transform"]]
+    if transform[0] != sum(a):
+        raise _Mismatch(f"transform entry 0 is {transform[0]}, not the size {sum(a)}")
+    m = p.m
+    second = sum(
+        v * (comb(m - i, 2) - i * (m - i) + comb(i, 2)) for i, v in enumerate(a)
+    )
+    if transform[2] != second:
+        raise _Mismatch(f"transform entry 2 is {transform[2]}, not {second}")
+
+
 _SEARCHES = {
     "classification/design-uniqueness": _search_design,
     "classification/equivalence-witness": _search_sigma,
@@ -578,6 +594,7 @@ _SEARCHES = {
 }
 _READERS = {
     "classification/design-uniqueness": _read_design,
+    "classification/size-23-rejection": _read_transform,
     "classification/equivalence-witness": _read_sigma,
     "theorem/complete-regularity": _read_regularity,
     "theorem/automorphism-group": _read_group,

@@ -139,7 +139,7 @@ class _CanonBudget(Exception):
     pass
 
 
-def _image_greater_exists(blocks, m: int, node_budget: int | None = None) -> bool:
+def _image_greater_exists(blocks, m: int, node_budget: int | None) -> bool:
     """Whether some relabeling of the points maps the block family to a
     lexicographically greater sorted-descending bitmask sequence.
 

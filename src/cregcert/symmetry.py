@@ -6,7 +6,8 @@ with S_m).  This module provides the group arithmetic, stabilizer
 chains (deterministic Schreier–Sims: exact order and membership, every
 chain held to ``ELEMENT_BUDGET`` on its order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
-pruning, full code automorphism groups, and the search for a
+pruning (the generators are the search's own picks, less those the
+others make redundant), full code automorphism groups, and the search for a
 coordinate permutation carrying one code onto another.  Every search
 runs on a ``BlockFamily``, indexed and colour-refined once, whose count
 holds the searches of one call to ``MATCHER_BUDGET``.  Groups are
@@ -182,11 +183,7 @@ class StabilizerChain:
 
     @property
     def order(self) -> int:
-        return self.stabilizer_order(0)
-
-    def stabilizer_order(self, level: int) -> int:
-        """Order of level ``level``: the subgroup fixing its earlier base literals."""
-        return prod(len(t) for t in self.transversal[level:])
+        return prod(len(t) for t in self.transversal)
 
     def sift(
         self, x: GraphAutomorphism, start: int = 0
@@ -396,7 +393,8 @@ class BlockFamily:
         """
         if dst is not self:
             self.charge(dst.tests)
-        mismatch = len(self.blocks) != len(dst.blocks)
+        # block sizes, not counts: no feasibility test visits an empty block
+        mismatch = sorted(self.sizes) != sorted(dst.sizes)
         if mismatch or sorted(self.colors) != sorted(dst.colors):
             return
         m, sizes, through = self.m, self.sizes, self.through
@@ -453,87 +451,46 @@ def find_family_isomorphism(
     return next(src.matches(dst), None)
 
 
-def _family_stabilizer_chain(family: BlockFamily) -> StabilizerChain:
-    """The chain of the permutations preserving the family, from the last
-    base point down: with the chain at the stabilizer of points 0..d, each
-    image of point d outside its level-d orbit gets one search for an
-    element fixing points 0..d-1 and sending d there.  Every candidate is
-    in the orbit or searched exhaustively, so the order is exact."""
-    chain = StabilizerChain(family.m)
+def setwise_stabilizer_perms(family: BlockFamily) -> GroupHandle:
+    """The coordinate permutations preserving the block family setwise, as
+    a stabilizer chain and reduced generators.
+
+    Base-point backtracking from the last base point down: with the chain
+    at the stabilizer of points 0..d, each image of point d outside its
+    level-d orbit gets one search for the least element fixing points
+    0..d-1 and sending d there.  Every candidate is in the orbit or
+    searched exhaustively, so the order is exact, and the chain stops the
+    search once the order passes ELEMENT_BUDGET.  Each element a search
+    adds is the lexicographically least one outside the group found so
+    far; the generators are those picks, less each one, in order, that
+    the others do not need.  Each is checked to map the family onto
+    itself.
+    """
+    if not family.blocks:
+        raise ValueError("the block family must be nonempty")
+    m = family.m
+    group = StabilizerChain(m)
+    gens: list[GraphAutomorphism] = []
     orbit_lengths = []
-    for d in range(family.m - 1, -1, -1):
+    for d in range(m - 1, -1, -1):
         for q in family.cells[family.colors[d]]:
-            if 2 * q in chain.transversal[d]:
+            if 2 * q in group.transversal[d]:
                 continue
             perm = next(family.matches(family, tuple(range(d)) + (q,)), None)
             if perm is not None:
-                chain.add(GraphAutomorphism(0, perm))
-        orbit_lengths.append(len(chain.transversal[d]))
-    if prod(orbit_lengths) != chain.order:
+                gens.append(GraphAutomorphism(0, perm))
+                group.add(gens[-1])
+        orbit_lengths.append(len(group.transversal[d]))
+    if prod(orbit_lengths) != group.order:
         raise AssertionError("a searched level's orbit grew afterwards")
-    return chain
-
-
-def _greedy_generators(group: StabilizerChain) -> list[GraphAutomorphism]:
-    """A small generating set of a flip-free group: each lexicographically
-    least element outside the subgroup H chosen so far, then, in order,
-    each generator the others do not need dropped.
-
-    The walk splits cosets of G_d, the pointwise stabilizer of points
-    0..d-1, by the image of point d in ascending order.  Both chains share
-    the base, so where |H_d| = |G_d| the two are equal and the coset lies
-    wholly inside or outside H: only its least element is built.
-    """
-    m = group.m
-    chosen = StabilizerChain(m)
-
-    def split(x: GraphAutomorphism, d: int):
-        level = group.transversal[d]
-        for literal in sorted(level, key=lambda lit: x.perm[lit >> 1]):
-            yield compose(level[literal][0], x)
-
-    def least_outside(x: GraphAutomorphism, d: int) -> GraphAutomorphism | None:
-        if chosen.stabilizer_order(d) == group.stabilizer_order(d):
-            if x in chosen:
-                return None
-            for e in range(d, m):
-                x = next(split(x, e))
-            return x
-        for y in split(x, d):
-            if (found := least_outside(y, d + 1)) is not None:
-                return found
-        return None
-
-    gens = []
-    while chosen.order < group.order:
-        gens.append(least_outside(identity(m), 0))
-        if not chosen.add(gens[-1]):
-            raise AssertionError("the coset walk returned a chosen element")
     for g in list(gens):
         rest = [h for h in gens if h != g]
         if rest and StabilizerChain(m, rest).order == group.order:
             gens = rest
-    return gens
-
-
-def setwise_stabilizer_perms(family: BlockFamily) -> GroupHandle:
-    """The coordinate permutations preserving the block family setwise, as
-    the backtracking chain and reduced generators.
-
-    Base-point backtracking gives the chain and its exact order; the
-    chain stops the search once the order passes ELEMENT_BUDGET, before
-    any generator is chosen.  The generators are chosen greedily
-    (``_greedy_generators``), which keeps only sets that reach the
-    chain's order; each is checked to map the family onto itself.
-    """
-    if not family.blocks:
-        raise ValueError("the block family must be nonempty")
-    group = _family_stabilizer_chain(family)
-    gens = _greedy_generators(group)
     blocks = family.block_set
     if any({permute_mask(g.perm, b) for b in blocks} != blocks for g in gens):
         raise AssertionError("a generator does not stabilize the family")
-    return GroupHandle(family.m, tuple(gens), group)
+    return GroupHandle(m, tuple(gens), group)
 
 
 def code_automorphism_group(code: Code) -> GroupHandle:

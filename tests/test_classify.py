@@ -439,6 +439,23 @@ def test_replay_rejects_edited_witnesses(report11, anchor, edit):
     assert not ok, detail
 
 
+@pytest.mark.parametrize(
+    "entry, value, detail",
+    [
+        (0, "24", "transform entry 0 is 24, not the size 23"),
+        (2, "-54", "transform entry 2 is -54, not -55"),
+    ],
+    ids=["entry-0", "entry-2"],
+)
+def test_replay_checks_the_transform_by_its_identities(report11, entry, value, detail):
+    # the reader, not the rebuild, refuses the entry: its detail names it
+    tampered = json.loads(report_json(report11))
+    _witness(tampered, "classification/size-23-rejection")["transform"][entry] = value
+    results = {anchor: (ok, text) for anchor, ok, text in verify_report(tampered)}
+    ok, text = results["classification/size-23-rejection"]
+    assert not ok and detail in text
+
+
 @pytest.mark.parametrize("count", [True, 1.0, "1"])
 def test_replay_takes_the_class_count_only_as_an_int(report11, count):
     # the count is the one fact the replay takes as recorded; True and 1.0

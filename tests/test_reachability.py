@@ -119,6 +119,34 @@ def test_every_definition_is_reached():
     assert not unreached, "reached by no entry point: " + ", ".join(unreached)
 
 
+def unused_imports(src: Path = SRC) -> list[str]:
+    """``module.name`` for each name a module-level import binds that its
+    module never loads, nor lists in ``__all__``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [
+            alias.asname or alias.name.partition(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                listed = ast.walk(node.value)
+                used |= {c.value for c in listed if isinstance(c, ast.Constant)}
+        found += [f"{path.stem}.{name}" for name in bound if name not in used]
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
 # every parameter with a default in a package function or method, so that
 # a new option shows in this set's diff
 DEFAULTED_PARAMETERS = {
@@ -127,7 +155,6 @@ DEFAULTED_PARAMETERS = {
     "classify.build_report(theorem_certs)",
     "classify.build_report(runtime_seconds)",
     "cli.main(argv)",
-    "designs._image_greater_exists(node_budget)",
     "designs.blocks_are_canonical(node_budget)",
     "symmetry.StabilizerChain.__init__(generators)",
     "symmetry.StabilizerChain.sift(start)",

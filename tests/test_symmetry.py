@@ -4,6 +4,13 @@ from collections import Counter
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+try:
+    import networkx as nx
+except ImportError:  # the isomorphism oracle test skips
+    nx = None
 
 from cregcert import symmetry
 from cregcert.codes import Code
@@ -306,6 +313,53 @@ def test_find_equivalence_absent(code12):
     evens = [w for w in range(1 << 12) if w.bit_count() % 2 == 0][:24]
     other = Code(12, evens)
     assert find_equivalence(code12, other) is None
+
+
+def test_find_equivalence_needs_the_empty_block_on_both_sides():
+    # no feasibility test visits the empty word, so equal block counts
+    # alone would let the identity carry {0, 1, 2} onto {1, 2, 3}
+    assert find_equivalence(Code(2, [0, 1, 2]), Code(2, [1, 2, 3])) is None
+
+
+def relabelled(perm, block: int) -> int:
+    return sum(1 << q for i, q in enumerate(perm) if (block >> i) & 1)
+
+
+@st.composite
+def family_pairs(draw):
+    """A small family and a random relabelling of it, with one bit of one
+    block flipped or not."""
+    m = draw(st.integers(1, 7))
+    blocks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
+    perm = draw(st.permutations(range(m)))
+    image = [relabelled(perm, b) for b in blocks]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(image) - 1))
+        image[i] ^= 1 << draw(st.integers(0, m - 1))
+    return m, blocks, image
+
+
+@pytest.mark.skipif(nx is None, reason="networkx is not installed")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(family_pairs())
+@example((2, [0, 1, 2], [1, 2, 3]))
+def test_family_isomorphism_agrees_with_networkx(case):
+    m, src, dst = case
+
+    def incidence(blocks):
+        graph = nx.Graph()
+        graph.add_nodes_from(((0, p) for p in range(m)), kind="point")
+        for b in set(blocks):
+            graph.add_node((1, b), kind="block")
+            graph.add_edges_from(((0, p), (1, b)) for p in range(m) if (b >> p) & 1)
+        return graph
+
+    same_kind = nx.algorithms.isomorphism.categorical_node_match("kind", None)
+    expected = nx.is_isomorphic(incidence(src), incidence(dst), node_match=same_kind)
+    found = find_family_isomorphism(BlockFamily(src, m), BlockFamily(dst, m))
+    assert (found is not None) == expected
+    if found is not None:
+        assert {relabelled(found, b) for b in src} == set(dst)
 
 
 def test_matcher_budget_sums_over_one_group_search(code12, matcher_budget):

@@ -93,7 +93,7 @@ def _sift_by_the_element(original):
 CASES = {
     "certify_completely_regular": (regularity, _raised_f0, "replay"),
     "orbits": (symmetry, _merged_orbits, "theorem"),
-    "macwilliams_transform": (spectral, _raised_first_entry, "silent"),
+    "macwilliams_transform": (spectral, _raised_first_entry, "replay"),
     "check_t_design": (designs, _no_counterexample, "chain"),
     "StabilizerChain.sift": (
         symmetry.StabilizerChain,

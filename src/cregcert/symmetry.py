@@ -65,11 +65,17 @@ def identity(m: int) -> GraphAutomorphism:
 
 
 def permute_mask(perm: Sequence[int], mask: int) -> int:
-    """Move bit i to bit perm[i]."""
+    """Move bit i to bit perm[i].
+
+    Walks the set bits only, so it needs 0 <= mask < 2^len(perm): a
+    negative mask never runs out of bits, and a bit at len(perm) or above
+    indexes past perm.  Every caller passes a range-checked word.
+    """
     out = 0
-    for i, p in enumerate(perm):
-        if (mask >> i) & 1:
-            out |= 1 << p
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

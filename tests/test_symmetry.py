@@ -14,6 +14,7 @@ except ImportError:  # the isomorphism oracle test skips
 
 from cregcert import symmetry
 from cregcert.codes import Code
+from cregcert.hamming import MAX_LENGTH, format_mask, parse_mask
 from cregcert.symmetry import (
     BlockFamily,
     GraphAutomorphism,
@@ -31,6 +32,7 @@ from cregcert.symmetry import (
     orbit_of,
     orbits,
     parse_automorphism,
+    permute_mask,
     setwise_stabilizer_perms,
 )
 from oracles import ksubset_masks, orbits_on_ksubsets, vertex_stabilizer
@@ -58,6 +60,29 @@ def test_three_cycle_moves_supports():
     x = GraphAutomorphism(0, (1, 2, 0, 3))
     assert apply_mask(x, 0b0001) == 0b0010
     assert apply_mask(x, 0b0100) == 0b0001
+
+
+def moved_text(flips: int, perm, mask: int) -> int:
+    # the word action on the text form: flip characters, then move
+    # character i to position perm[i]
+    m = len(perm)
+    flipped = [str(int(c != f)) for c, f in zip(format_mask(mask, m), format_mask(flips, m))]
+    out = [""] * m
+    for c, p in zip(flipped, perm):
+        out[p] = c
+    return parse_mask("".join(out))[0]
+
+
+def test_word_action_moves_the_text_form():
+    rng = random.Random(24)
+    for m in range(1, MAX_LENGTH + 1):
+        masks = [0, (1 << m) - 1, *(1 << i for i in range(m))]
+        masks += [rng.randrange(1 << m) for _ in range(8)]
+        for _ in range(4):
+            x = random_automorphism(rng, m)
+            for mask in masks:
+                assert permute_mask(x.perm, mask) == moved_text(0, x.perm, mask)
+                assert apply_mask(x, mask) == moved_text(x.flips, x.perm, mask)
 
 
 def test_composition_and_inverse_laws():

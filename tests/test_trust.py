@@ -53,6 +53,25 @@ def _merged_orbits(original):
     return faulty
 
 
+def _fixed_near_full_words(original):
+    # words of weight m - 1 are left where they are
+    def faulty(perm, mask):
+        if mask.bit_count() == len(perm) - 1:
+            return mask
+        return original(perm, mask)
+
+    return faulty
+
+
+def _dropped_greatest_vertex(original):
+    # each orbit comes out without its greatest vertex
+    def faulty(start, gens):
+        orbit = original(start, gens)
+        return orbit - {max(orbit)}
+
+    return faulty
+
+
 def _raised_first_entry(original):
     # a'_0 one too high
     def faulty(a):
@@ -93,6 +112,8 @@ def _sift_by_the_element(original):
 CASES = {
     "certify_completely_regular": (regularity, _raised_f0, "replay"),
     "orbits": (symmetry, _merged_orbits, "theorem"),
+    "orbit_of": (symmetry, _dropped_greatest_vertex, "producer"),
+    "permute_mask": (symmetry, _fixed_near_full_words, "theorem"),
     "macwilliams_transform": (spectral, _raised_first_entry, "replay"),
     "check_t_design": (designs, _no_counterexample, "chain"),
     "StabilizerChain.sift": (

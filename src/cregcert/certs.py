@@ -9,7 +9,7 @@ reports serialize deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SCHEMA = "creg-cert/1"
 
@@ -25,8 +25,8 @@ class ResourceBudgetError(RuntimeError):
 class Certificate:
     claim: str
     anchor: str
-    witness: dict = field(default_factory=dict)
-    verdict: str = PASS
+    witness: dict
+    verdict: str
 
     @property
     def passed(self) -> bool:

@@ -132,7 +132,7 @@ class _Inputs:
     an output that was never set fails the step that reads it.
     """
 
-    def __init__(self, m, delta, size_bound=None):
+    def __init__(self, m, delta, size_bound):
         self.m, self.delta, self.size_bound = m, delta, size_bound
         self.rejected = ""  # why the last witnessed output was refused
 
@@ -637,7 +637,7 @@ def certify_theorem(m: int, delta: int) -> list[Certificate]:
     from a stabilizer chain, and that the properties survive conjugation
     by a graph automorphism."""
     _check_supported(m, delta)
-    p = _Inputs(m, delta)
+    p = _Inputs(m, delta, None)
     return [_produce(p, anchor) for anchor in THEOREM]
 
 

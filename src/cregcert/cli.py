@@ -21,7 +21,7 @@ from itertools import islice
 
 from .certs import SCHEMA
 from .classify import build_report, certify_theorem, classify, reference_code, report_json
-from .codes import Code, CodeFormatError
+from .codes import Code
 from .designs import check_t_design, enumerate_designs
 from .hadamard import paley_hadamard_12
 from .hamming import ASCII_SPACE
@@ -299,9 +299,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CodeFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # a malformed code file raises CodeFormatError, a ValueError
     except (OSError, ValueError, ResourceBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import mul
+from typing import ClassVar
 
 from .codes import Code
 
@@ -72,7 +73,7 @@ class PackingSolution:
     satisfied: bool
     lambdas: tuple[Fraction, ...] | None
     rows: tuple[tuple[int, ...], ...]
-    note: str = (
+    note: ClassVar[str] = (
         "identity used: sum over k = 0..rho of lambda_k * f_k(nu) = 1 "
         "for every vertex nu"
     )

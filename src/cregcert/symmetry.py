@@ -2,15 +2,16 @@
 
 An automorphism is a coordinate-flip mask followed by a coordinate
 permutation (the full group is the semidirect product of the 2^m flips
-with S_m).  This module provides the group arithmetic, stabilizer
-chains (deterministic Schreier–Sims: exact order and membership, every
-chain held to ``ELEMENT_BUDGET`` on its order), orbit computations, setwise
+with S_m).  This module provides the group arithmetic, stabilizer chains
+(Schreier–Sims in Knuth's form, each (orbit point, generator) pair
+followed once: exact order and membership, every chain held to
+``ELEMENT_BUDGET`` on its order), orbit computations, setwise
 stabilizers of block families by base-point backtracking with orbit
 pruning (the generators are the search's own picks, less those the
-others make redundant), full code automorphism groups, and the search for a
-coordinate permutation carrying one code onto another.  Every search
-runs on a ``BlockFamily``, indexed and colour-refined once, whose count
-holds the searches of one call to ``MATCHER_BUDGET``.  Groups are
+others make redundant), full code automorphism groups, and the search
+for a coordinate permutation carrying one code onto another.  Every
+search runs on a ``BlockFamily``, indexed and colour-refined once, whose
+count holds the searches of one call to ``MATCHER_BUDGET``.  Groups are
 generators and a stabilizer chain.
 
 Composition convention, fixed globally: ``compose(x, y)`` means "apply
@@ -164,14 +165,18 @@ def _literal_image(x: GraphAutomorphism, literal: int) -> int:
 class StabilizerChain:
     """A base and strong generating set, built by deterministic Schreier–Sims.
 
-    Level i is the subgroup fixing the literals 0, 2, ..., 2i-2
-    (coordinates 1..i holding bit 0).  It keeps its strong generators and
-    the orbit of its base literal 2i, each orbit point with a transversal
-    element carrying the base literal there and that element's inverse.
-    An automorphism is determined by the images of the m base literals,
-    so the base is complete for every subgroup: the order is the product
-    of the orbit lengths, and x is a member iff sifting strips it to the
-    identity.  All products go through ``compose`` and ``inverse``.
+    Level i is the subgroup fixing the literals 0, 2, ..., 2i-2 (coordinates
+    1..i holding bit 0).  It keeps its strong generators and the orbit of
+    its base literal 2i, each orbit point with a transversal element
+    carrying the base literal there and that element's inverse.  An
+    automorphism is determined by the images of the m base literals, so the
+    base is complete for every subgroup: the order is the product of the
+    orbit lengths, and x is a member iff sifting strips it to the identity.
+    As in Knuth ("Efficient representation of perm groups", Combinatorica
+    11, 1991), each (orbit point, strong generator) pair of a level is
+    followed once, when it first exists, and the next level absorbs its
+    Schreier generator at once; so every level is complete when ``add``
+    returns.  Products go through ``compose`` and ``inverse``.
     """
 
     def __init__(self, m: int, generators: Iterable[GraphAutomorphism] = ()):
@@ -181,9 +186,6 @@ class StabilizerChain:
         self.transversal: list[dict[int, tuple[GraphAutomorphism, GraphAutomorphism]]] = [
             {2 * i: (e, e)} for i in range(m)
         ]
-        # (orbit point, generator index) pairs whose Schreier generator is
-        # known to lie in the next level's group
-        self._tested: list[set[tuple[int, int]]] = [set() for _ in range(m)]
         for g in generators:
             self.add(g)
 
@@ -214,73 +216,42 @@ class StabilizerChain:
         ELEMENT_BUDGET."""
         if x.degree != self.m:
             raise LengthError(f"automorphism degree {x.degree} vs chain length {self.m}")
-        residue, level = self.sift(x)
-        if residue is None:
-            return False
-        self._insert(residue, 0, level)
-        # Schreier–Sims: every level deeper than i is complete whenever
-        # level i is checked
-        i = level
-        while i >= 0:
-            found = self._schreier_residue(i)
-            if found is None:
-                i -= 1
-            else:
-                residue, level = found
-                self._insert(residue, i + 1, level)
-                i = level
+        added = self._absorb(x, 0)
         if self.order > ELEMENT_BUDGET:
             raise ResourceBudgetError(
                 f"group order {self.order} exceeds the element budget "
                 f"of {ELEMENT_BUDGET}"
             )
+        return added
+
+    def _absorb(self, x: GraphAutomorphism, start: int) -> bool:
+        """Sift x from level ``start``; its residue, which fixes the base
+        literals of the levels before its own, becomes a strong generator
+        of levels start..level, the deepest first.  False for a member."""
+        residue, level = self.sift(x, start)
+        if residue is None:
+            return False
+        for i in range(level, start - 1, -1):
+            self._extend(i, residue)
         return True
 
-    def _insert(self, x: GraphAutomorphism, first: int, last: int) -> None:
-        """Make x a strong generator of levels first..last (it fixes the
-        base literals of every level before ``last``)."""
-        for i in range(first, last + 1):
-            strong, transversal = self.strong[i], self.transversal[i]
-            strong.append(x)
-            newest = len(strong) - 1
-            fresh = [
-                q for p in list(transversal) if (q := self._grow(i, p, newest)) is not None
-            ]
-            while fresh:
-                fresh = [
-                    q
-                    for p in fresh
-                    for b in range(len(strong))
-                    if (q := self._grow(i, p, b)) is not None
-                ]
-
-    def _grow(self, i: int, point: int, b: int) -> int | None:
-        """Follow generator b from an orbit point; the image if it is new."""
-        transversal = self.transversal[i]
-        s = self.strong[i][b]
-        image = _literal_image(s, point)
-        if image in transversal:
-            return None
-        u = compose(transversal[point][0], s)
-        transversal[image] = (u, inverse(u))
-        # its Schreier generator is the identity
-        self._tested[i].add((point, b))
-        return image
-
-    def _schreier_residue(self, i: int):
-        """The first untested Schreier generator of level i that the deeper
-        levels do not contain, sifted, with its level; None if there is none."""
-        transversal, tested = self.transversal[i], self._tested[i]
-        for point, (u, _) in transversal.items():
-            for b, s in enumerate(self.strong[i]):
-                if (point, b) in tested:
-                    continue
-                tested.add((point, b))
-                back = transversal[_literal_image(s, point)][1]
-                residue, level = self.sift(compose(compose(u, s), back), i + 1)
-                if residue is not None:
-                    return residue, level
-        return None
+    def _extend(self, i: int, s: GraphAutomorphism) -> None:
+        """Append s to level i's strong generators, then follow every new
+        (orbit point, generator) pair: a new image joins the orbit, an old
+        one closes a Schreier generator, which level i+1 absorbs (so the
+        recursion only descends, at most 2m frames deep)."""
+        strong, transversal = self.strong[i], self.transversal[i]
+        strong.append(s)
+        work = [(point, s) for point in transversal]
+        # the loop also visits the pairs appended as the orbit grows
+        for point, g in work:
+            image = _literal_image(g, point)
+            u = compose(transversal[point][0], g)
+            if image in transversal:
+                self._absorb(compose(u, transversal[image][1]), i + 1)
+            else:
+                transversal[image] = (u, inverse(u))
+                work.extend((image, h) for h in strong)
 
 
 def closure(gens: Iterable[GraphAutomorphism], m: int) -> GroupHandle:

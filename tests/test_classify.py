@@ -631,3 +631,71 @@ def test_replay_refuses_a_group_of_another_order(report11):
     assert details["theorem/automorphism-group"] == "closure order 15840 != 31680"
     for anchor in ("theorem/complete-transitivity", "theorem/equivalence-invariance"):
         assert details[anchor].startswith("no checked group"), details[anchor]
+
+
+def _step_results(report) -> dict[str, tuple[bool, str]]:
+    return {anchor: (ok, detail) for anchor, ok, detail in verify_report(report)}
+
+
+def test_replay_checks_where_a_row_opens(report11):
+    # one count moved from f_2 to f_1 keeps the row sum, so only the
+    # opening check tells this table from the genuine one
+    tampered = json.loads(report_json(report11))
+    table = _witness(tampered, "theorem/complete-regularity")["intersection_table"]
+    table[2][1] += 1
+    table[2][2] -= 1
+    detail = "row 2 of the intersection table opens with f_1"
+    assert _step_results(tampered)["theorem/complete-regularity"] == (False, detail)
+
+
+@pytest.mark.parametrize("count", [GENERATOR_BUDGET, GENERATOR_BUDGET + 1])
+def test_replay_takes_generators_up_to_the_budget(report11, count):
+    # repeats change no group, so only the budget tells the two lists apart
+    def pad(w):
+        w["generators"] = (w["generators"] * 3)[:count]
+
+    anchor, ok, detail = _aut_group_result(report11, pad)
+    if count == GENERATOR_BUDGET:
+        assert (ok, detail) == (True, "rebuilt certificate matches")
+    else:
+        assert not ok
+        assert f"{count} generators exceed the budget of {GENERATOR_BUDGET}" in detail
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda s: s["witness"]["cell_sizes"].reverse(), "witness.cell_sizes"),
+        (lambda s: s.update(claim=s["claim"] + "!"), "claim"),
+        (lambda s: s.update(witness=[]), "witness"),
+    ],
+    ids=["cell-sizes", "claim", "witness-not-a-dict"],
+)
+def test_replay_names_the_field_a_rebuild_differs_at(report11, edit, field):
+    tampered = json.loads(report_json(report11))
+    edit(next(s for s in tampered["steps"] if s["anchor"] == TRANSITIVITY))
+    detail = f"rebuilt certificate differs at {field}"
+    assert _step_results(tampered)[TRANSITIVITY] == (False, detail)
+
+
+def test_replay_refuses_a_complemented_design_in_its_reader(report11):
+    # the complements of the 2-(11,5,2) blocks form a 2-(11,6,3) design
+    tampered = json.loads(report_json(report11))
+    witness = _witness(tampered, "classification/design-uniqueness")
+    blocks = witness["representative_blocks"]
+    witness["representative_blocks"] = [
+        [q for q in range(1, 12) if q not in b] for b in blocks
+    ]
+    detail = "the witness design has blocks of size 6 and index 3"
+    results = _step_results(tampered)
+    assert results["classification/design-uniqueness"] == (False, detail)
+
+
+def test_replay_takes_a_failed_last_step_as_a_failed_chain(report11):
+    # every anchor is there but the last chain step FAILs, so the chain's
+    # verdict FAIL is right and the step's rebuild is the only fault
+    tampered = json.loads(report_json(report11))
+    next(s for s in tampered["steps"] if s["anchor"] == EQUIVALENCE)["verdict"] = FAIL
+    tampered["verdict"] = FAIL
+    detail = "rebuilt certificate differs at verdict"
+    assert _step_results(tampered)[EQUIVALENCE] == (False, detail)

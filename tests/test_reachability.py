@@ -147,10 +147,10 @@ def test_every_import_is_used():
     assert unused_imports() == []
 
 
-# every parameter with a default in a package function or method, so that
-# a new option shows in this set's diff
+# every parameter with a default in a package function or method, and
+# every class field with a default (a dataclass field is a parameter of
+# the generated __init__), so that a new option shows in this set's diff
 DEFAULTED_PARAMETERS = {
-    "classify._Inputs.__init__(size_bound)",
     "classify.classify(size_bound)",
     "classify.build_report(theorem_certs)",
     "classify.build_report(runtime_seconds)",
@@ -159,11 +159,14 @@ DEFAULTED_PARAMETERS = {
     "symmetry.StabilizerChain.__init__(generators)",
     "symmetry.StabilizerChain.sift(start)",
     "symmetry.BlockFamily.matches(prefix)",
+    "symmetry.GroupHandle.chain",
 }
 
 
 def defaulted_parameters(src: Path = SRC) -> set[str]:
-    """``module.qualname(parameter)`` for every parameter with a default."""
+    """``module.qualname(parameter)`` for every parameter with a default,
+    and ``module.Class.field`` for every annotated class field with a
+    value that is not a ``ClassVar``."""
     found = set()
 
     def visit(node, prefix: str) -> None:
@@ -172,7 +175,15 @@ def defaulted_parameters(src: Path = SRC) -> set[str]:
                 visit(child, prefix)
                 continue
             qual = f"{prefix}.{child.name}"
-            if not isinstance(child, ast.ClassDef):
+            if isinstance(child, ast.ClassDef):
+                found.update(
+                    f"{qual}.{a.target.id}"
+                    for a in child.body
+                    if isinstance(a, ast.AnnAssign)
+                    and a.value is not None
+                    and "ClassVar" not in ast.unparse(a.annotation)
+                )
+            else:
                 args = child.args
                 positional = args.posonlyargs + args.args
                 named = positional[len(positional) - len(args.defaults) :] + [

@@ -11,6 +11,7 @@ stabilizers are checked against the breadth-first closure filtered
 element by element.
 """
 
+import random
 from itertools import permutations
 
 import pytest
@@ -101,6 +102,7 @@ def test_chain_matches_breadth_first_closure(case):
     chain = StabilizerChain(m, gens)
     group = reference_closure(gens, m)
     assert chain.order == len(group)
+    check_transversals(chain)
     for x in probes:
         assert (x in chain) == (literal_permutation(x) in group)
     listed = transversal_products(chain)
@@ -120,6 +122,49 @@ def test_sympy_confirms_the_witness_orders(theorem12, theorem11):
         )
         assert oracle.order() == order
         assert closure(gens, m).order == order == cert.witness["order"]
+
+
+def check_transversals(chain: StabilizerChain) -> None:
+    """Each entry (u, v) of level i carries literal 2i to its key, v undoes
+    u, and u fixes every literal below 2i."""
+    e = identity(chain.m)
+    for i, transversal in enumerate(chain.transversal):
+        for point, (u, v) in transversal.items():
+            lits = literal_permutation(u)
+            assert lits[2 * i] == point
+            assert compose(u, v) == e
+            assert lits[: 2 * i] == tuple(range(2 * i))
+
+
+def test_chain_holds_its_invariants_in_any_generator_order(theorem12):
+    cert = next(c for c in theorem12 if c.anchor == "theorem/automorphism-group")
+    gens = [parse_automorphism(s) for s in cert.witness["generators"]]
+    assert len(gens) == 27
+    rng = random.Random(12)
+    members = []
+    for _ in range(20):
+        x = identity(12)
+        for g in rng.choices(gens, k=8):
+            x = compose(x, g)
+        members.append(x)
+    # the transposition of coordinates 1 and 2 is no member, so neither is
+    # a member followed by it; random signed permutations almost never are
+    swap = GraphAutomorphism(0, (1, 0) + tuple(range(2, 12)))
+    probes = members + [compose(x, swap) for x in members]
+    probes += [
+        GraphAutomorphism(rng.getrandbits(12), tuple(rng.sample(range(12), 12)))
+        for _ in range(20)
+    ]
+    answers = set()
+    for seed in (0, 1, 2):
+        order = list(gens)
+        random.Random(seed).shuffle(order)
+        chain = StabilizerChain(12, order)
+        assert chain.order == 190080
+        check_transversals(chain)
+        answers.add(tuple(x in chain for x in probes))
+    assert len(answers) == 1
+    assert answers.pop()[:40] == (True,) * 20 + (False,) * 20
 
 
 def test_chain_rejects_a_wrong_degree():

@@ -506,9 +506,9 @@ def _search_group(p: _Inputs) -> None:
 
 def _read_design(p: _Inputs, witness: dict) -> None:
     """The representative must be a t-design of index 2 on delta-point
-    blocks (``Design.verified`` checks the block count); the class count
-    is the one fact taken as recorded, and it must be an int (``True``
-    equals 1 but counts nothing)."""
+    blocks, which fixes its block count by double counting; the class
+    count is the one fact taken as recorded, and it must be an int
+    (``True`` equals 1 but counts nothing)."""
     count = witness["class_count"]
     if type(count) is not int:
         raise _Mismatch(f"the class count {count!r} is not an int")
@@ -554,10 +554,10 @@ def _read_group(p: _Inputs, witness: dict) -> None:
     words = set(p.reference.words)
     if any({apply_mask(g, w) for w in words} != words for g in gens):
         raise _Mismatch("a generator does not stabilize the reference code")
-    chain = closure(gens, p.m).chain
-    if chain.order != witness["order"]:
-        raise _Mismatch(f"closure order {chain.order} != {witness['order']}")
-    p.group = GroupHandle(p.m, gens, chain)
+    group = closure(gens, p.m)
+    if group.order != witness["order"]:
+        raise _Mismatch(f"closure order {group.order} != {witness['order']}")
+    p.group = group
 
 
 def _read_regularity(p: _Inputs, witness: dict) -> None:

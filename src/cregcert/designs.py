@@ -5,16 +5,16 @@ Blocks are bitmasks over the point set (point i at bit i-1), and a
 design's canonical labeling is the one whose sorted-descending
 block-bitmask sequence is lexicographically greatest over all point
 relabelings.  Enumeration is orderly generation: blocks are added in
-strictly decreasing bitmask order; a new partial solution is first
-checked for feasibility (coverage counters and completion horizons),
-and only a feasible one is tested for canonicity and pruned on a
-proven-greater relabeling, since the cheap test discards most
-prefixes; a complete solution is kept only when proved canonical, so
-one representative per class survives.  For
-t >= 3 a search opens with the star of the top point, one per derived
-(t-1)-design class (Kaski & Östergård, *Classification Algorithms for
-Codes and Designs*, 2006).  The search's three budgets are the module
-constants ``BLOCK_BUDGET``, ``TABLE_BUDGET`` and ``CANON_NODE_BUDGET``.
+strictly decreasing bitmask order; a new partial solution gets one
+feasibility test, ``horizon``, and only a feasible one asks the one
+canonicity function, ``blocks_are_canonical``, and is pruned on a
+proven-greater relabeling, since the cheap test discards most prefixes;
+a complete solution is kept only when proved canonical, so one
+representative per class survives.  For t >= 3 a search opens with the
+star of the top point, one per derived (t-1)-design class (Kaski &
+Östergård, *Classification Algorithms for Codes and Designs*, 2006).
+The search's three budgets are the module constants ``BLOCK_BUDGET``,
+``TABLE_BUDGET`` and ``CANON_NODE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ class Design:
 
     @classmethod
     def verified(cls, blocks, points: int, strength: int) -> "Design":
+        """The distinct blocks as a design; by double counting, every family
+        ``check_t_design`` accepts has b = lam * C(points, t) / C(k, t)."""
         blocks = tuple(sorted({int(b) for b in blocks}))
         if not blocks:
             raise ValueError("a design needs at least one block")
@@ -51,12 +53,6 @@ class Design:
             raise ValueError(
                 f"not a {strength}-design: subsets {counterexample} are covered "
                 "a different number of times"
-            )
-        expected_b = block_count(strength, points, k, lam)
-        if expected_b != len(blocks):
-            raise ValueError(
-                f"block count {len(blocks)} contradicts the parameter arithmetic "
-                f"({expected_b})"
             )
         return cls(points, k, strength, lam, blocks)
 
@@ -78,11 +74,14 @@ class Design:
 def check_t_design(blocks, points: int, t: int):
     """Return (lam, None) if every t-subset is covered the same number of
     times, else (None, (a, b)): the least t-subset mask and the least one
-    covered otherwise.  Blocks of unequal sizes raise ValueError."""
+    covered otherwise.  Blocks of unequal sizes, or with a point past
+    ``points``, raise ValueError."""
     blocks = tuple(blocks)
     sizes = {b.bit_count() for b in blocks}
     if len(sizes) != 1:
         raise ValueError(f"blocks have unequal sizes {sorted(sizes)}")
+    if max(blocks) >> points:
+        raise ValueError(f"a block has a point past the {points} points")
     k = sizes.pop()
     if not 0 <= t <= k:
         raise ValueError(f"strength {t} out of range 0..{k}")
@@ -124,7 +123,7 @@ def block_count(t: int, m: int, k: int, lam) -> Fraction:
 # whole sequence, so the derived design is itself canonical, and
 # generation opens with the derived representatives instead of testing
 # every prefix of the star.  The orderly search asks about a prefix only
-# once it passed the coverage prunes.  The search below:
+# once it passed the feasibility test.  The search below:
 # - keeps label sets runs of bits in descending order (a commitment only
 #   splits a run into its top c bits and the rest);
 # - tries the newest block first: if the prefix P was accepted, a relabeling
@@ -135,20 +134,26 @@ def block_count(t: int, m: int, k: int, lam) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class _CanonBudget(Exception):
-    pass
+def blocks_are_canonical(blocks, m: int, node_budget: int | None = None) -> bool | None:
+    """Whether no relabeling gives the block family a greater sequence:
+    True/False when decided, None when the node budget ran out.
 
-
-def _image_greater_exists(blocks, m: int, node_budget: int | None) -> bool:
-    """Whether some relabeling of the points maps the block family to a
-    lexicographically greater sorted-descending bitmask sequence.
+    Callers must treat an undecided partial solution as possibly
+    canonical (and keep it); soundness of pruning only ever relies on
+    proven-greater verdicts.  Refuting is cheap and proving is not: with
+    no budget, and canonicity tested before feasibility, the 6,843
+    tests of the 3-(12,6,2) search (its derived 2-(11,5,2) search
+    included) refuted in a median of 8 nodes, 101 at the 99th
+    percentile, while 90% of all 2.7M nodes went into proving canonical
+    prefixes, 14 of which took 38k to 712k nodes each.
 
     Prefix-pruned search over which block realizes each image position.
     The partial relabeling is a partition of old points against new-label
     runs, refined on every commitment: a group ``(points, labels, top)``
     holds the labels just below bit ``top``, so a block's maximum image per
     group is ``(1 << top) - (1 << (top - c))``, never a branch, and the scan
-    stops at the first group where it and the target disagree.
+    stops at the first group where it and the target disagree.  A spent
+    budget unwinds the search as a greater image does, flagged undecided.
     """
     blocks = tuple(blocks)
     r = len(blocks)
@@ -160,10 +165,10 @@ def _image_greater_exists(blocks, m: int, node_budget: int | None) -> bool:
     path = [0] * r
     first: list[int] | None = None
     back = r  # level to resume at after an equal leaf; r when none
-    nodes = 0
+    nodes, undecided = 0, False
 
     def stage(i: int) -> bool:
-        nonlocal nodes, groups, first, back
+        nonlocal nodes, groups, first, back, undecided
         if i == r:  # image equals the sequence: nothing greater here
             if first is None:
                 first = path[:]
@@ -177,7 +182,8 @@ def _image_greater_exists(blocks, m: int, node_budget: int | None) -> bool:
                 continue
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                raise _CanonBudget
+                undecided = True
+                return True
             block = blocks[bi]
             for pts, labs, top in gs:
                 cg = (1 << top) - (1 << (top - (block & pts).bit_count()))
@@ -207,27 +213,8 @@ def _image_greater_exists(blocks, m: int, node_budget: int | None) -> bool:
             back = r
         return False
 
-    return stage(0)
-
-
-def blocks_are_canonical(
-    blocks, m: int, node_budget: int | None = None
-) -> bool | None:
-    """True/False when decided; None when the node budget ran out.
-
-    Callers must treat an undecided partial solution as possibly
-    canonical (and keep it); soundness of pruning only ever relies on
-    proven-greater verdicts.  Refuting is cheap and proving is not: with
-    no budget, and canonicity tested before feasibility, the 6,843
-    tests of the 3-(12,6,2) search (its derived 2-(11,5,2) search
-    included) refuted in a median of 8 nodes, 101 at the 99th
-    percentile, while 90% of all 2.7M nodes went into proving canonical
-    prefixes, 14 of which took 38k to 712k nodes each.
-    """
-    try:
-        return not _image_greater_exists(tuple(blocks), m, node_budget)
-    except _CanonBudget:
-        return None
+    found = stage(0)
+    return None if undecided else not found
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +236,7 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
     representative each (the greatest labeling of its class).
 
     A prefix is tested for canonicity only after it passed the
-    feasibility prunes, which are cheaper and discard most prefixes:
+    feasibility test, which is cheaper and discards most prefixes:
     2-(11,5,2) asks 499 canonicity questions, and 3-(12,6,2) 585 with
     its derived search (6,103 and 6,843 with canonicity tested first).
     The test only has to refute, since an undecided prefix is kept like
@@ -341,33 +328,32 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
         for sub in cand_subs[ci]:
             need[sub] -= delta
 
-    def horizon(start: int) -> tuple[int, int, int] | None:
-        """What every block from candidate ``start`` on must contain, or
-        None when some subset can no longer be filled from there.
-
-        Returns ``(forced, tight, limit)``: the union of the subsets that
-        need all the remaining blocks, and the subset whose coverers run
-        out first with the index of its last usable one, so that a
-        candidate past ``limit`` must contain ``tight``."""
+    def horizon(start: int) -> int | None:
+        """The last candidate the next block may be, or None when a subset
+        needs more blocks than remain or than its coverers from ``start``
+        on.  A subset needing d more blocks bounds the next by its d-th
+        last coverer: past that, fewer coverers are left than it needs,
+        whether or not the block covers it.  So the extension loop needs
+        no prune of its own: a child missing a subset that needs every
+        remaining block gets None, as does one with fewer candidates after
+        it than blocks to come (its point deficits exceed their coverings)."""
         remaining = b - len(chosen)
-        forced, tight, limit = 0, 0, len(candidates)
+        limit = len(candidates) - 1
         for sub, lst in horizon_list:
             deficit = need[sub]
             if deficit:
                 if deficit > remaining:
                     return None
-                if deficit == remaining:
-                    forced |= sub
                 last = lst[-deficit]
                 if last < start:
                     return None
                 if last < limit:
-                    tight, limit = sub, last
-        return forced, tight, limit
+                    limit = last
+        return limit
 
     def descend(start: int) -> None:
-        """Keep the prefix in ``chosen`` if it passes the cheap feasibility
-        prunes and then canonicity, and extend it from candidate ``start``."""
+        """Keep the prefix in ``chosen`` if it passes the feasibility test
+        and then canonicity; extend it by each fitting candidate up to the limit."""
         if len(chosen) == b:
             # b admitted blocks cover the t-subsets b * C(k, t) =
             # lam * C(m, t) times, none past lam: a design, kept only when
@@ -375,28 +361,19 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
             if blocks_are_canonical(tuple(chosen), m):
                 complete.append(tuple(chosen))
             return
-        must = horizon(start)
-        if must is None:
+        limit = horizon(start)
+        if limit is None:
             return
         # a one-block prefix is an opening, the greatest block
-        if (
-            len(chosen) == 1
-            or blocks_are_canonical(tuple(chosen), m, CANON_NODE_BUDGET) is not False
+        if len(chosen) > 1 and (
+            blocks_are_canonical(tuple(chosen), m, CANON_NODE_BUDGET) is False
         ):
-            extend(start, *must)
-
-    def extend(start: int, forced: int, tight: int, limit: int) -> None:
-        last_start = len(candidates) - (b - len(chosen)) + 1
-        for ci in range(start, last_start):
-            mask = candidates[ci]
-            if mask & forced != forced:
-                continue
-            if ci > limit and mask & tight != tight:
-                continue
+            return
+        for ci in range(start, limit + 1):
             if not can_add(ci):
                 continue
             bump(ci, 1)
-            chosen.append(mask)
+            chosen.append(candidates[ci])
             descend(ci + 1)
             chosen.pop()
             bump(ci, -1)

@@ -193,9 +193,7 @@ class StabilizerChain:
     def order(self) -> int:
         return prod(len(t) for t in self.transversal)
 
-    def sift(
-        self, x: GraphAutomorphism, start: int = 0
-    ) -> tuple[GraphAutomorphism | None, int]:
+    def sift(self, x: GraphAutomorphism, start: int) -> tuple[GraphAutomorphism | None, int]:
         """Strip x level by level from ``start``: (None, m) for a member,
         else the residue and the level whose orbit misses its base image."""
         for i in range(start, self.m):
@@ -208,7 +206,7 @@ class StabilizerChain:
         return None, self.m
 
     def __contains__(self, x: GraphAutomorphism) -> bool:
-        return self.sift(x)[0] is None
+        return self.sift(x, 0)[0] is None
 
     def add(self, x: GraphAutomorphism) -> bool:
         """Extend the group by x; False when x is already a member.
@@ -256,11 +254,11 @@ class StabilizerChain:
 
 def closure(gens: Iterable[GraphAutomorphism], m: int) -> GroupHandle:
     """The subgroup of length ``m`` generated by the given automorphisms,
-    as a stabilizer chain: exact order and membership.  The chain raises
-    ResourceBudgetError past ELEMENT_BUDGET.
+    as a stabilizer chain: exact order and membership.  The generators are
+    kept as given (the chain skips members); past ELEMENT_BUDGET the chain
+    raises ResourceBudgetError.
     """
-    e = identity(m)
-    gens = tuple(g for g in dict.fromkeys(gens) if g != e)
+    gens = tuple(gens)
     return GroupHandle(m, gens, StabilizerChain(m, gens))
 
 
@@ -358,7 +356,7 @@ class BlockFamily:
                 f"past the matcher budget of {MATCHER_BUDGET}"
             )
 
-    def matches(self, dst: BlockFamily, prefix: Sequence[int] = ()):
+    def matches(self, dst: BlockFamily, prefix: Sequence[int]):
         """Yield image tuples, one per permutation mapping this family onto
         ``dst``, in lexicographic order; point i < len(prefix) is pinned
         to prefix[i].
@@ -425,7 +423,7 @@ def find_family_isomorphism(
     """One permutation mapping the source block family onto the
     destination family, or None when the exhausted search proves there
     is none."""
-    return next(src.matches(dst), None)
+    return next(src.matches(dst, ()), None)
 
 
 def setwise_stabilizer_perms(family: BlockFamily) -> GroupHandle:
@@ -510,7 +508,7 @@ def code_automorphism_group(code: Code) -> GroupHandle:
         image = {apply_mask(g, w) for w in code.words}
         if image != set(code.words):
             raise AssertionError("generator does not stabilize the code")
-    return GroupHandle(m, generators, closed.chain)
+    return closed
 
 
 def find_equivalence(c1: Code, c2: Code) -> GraphAutomorphism | None:

@@ -44,6 +44,25 @@ def test_check_t_design_rejects_mixed_sizes():
         check_t_design([0b011, 0b111], 3, 2)
 
 
+def test_check_t_design_strength_bounds():
+    # t = 0 counts the blocks, and t = k counts each block once
+    assert check_t_design([0b0011, 0b1100], 4, 0) == (2, None)
+    pairs = tuple(ksubset_masks(4, 2))
+    assert check_t_design(pairs, 4, 2) == (1, None)
+    with pytest.raises(ValueError, match="out of range"):
+        check_t_design(pairs, 4, 3)
+
+
+def test_enumerate_parameter_bounds():
+    # the extremes t = k and k = m are searched; t = 0 and lam = 0 are refused
+    assert [d.blocks for d in enumerate_designs(2, 4, 2, 1)] == [tuple(ksubset_masks(4, 2))]
+    assert [d.blocks for d in enumerate_designs(1, 3, 3, 1)] == [(0b111,)]
+    with pytest.raises(ValueError, match="need 0 < t"):
+        enumerate_designs(0, 4, 2, 1)
+    with pytest.raises(ValueError, match="positive"):
+        enumerate_designs(2, 4, 2, 0)
+
+
 def test_lambda_arithmetic():
     assert lambda_i(2, 11, 5, 2, 2) == 2  # top index is the design index
     assert lambda_i(2, 11, 5, 2, 1) == 5
@@ -142,6 +161,9 @@ def test_enumerate_unique_3_design(design12):
 def test_enumerate_infeasible_parameters_is_empty():
     # block count 7 * 6 / 4 is not an integer
     assert enumerate_designs(2, 7, 4, 1) == ()
+    # each point would need 5 of the 3 pairs through it: no design without
+    # repeated blocks, and no coverer list is read past its start
+    assert enumerate_designs(1, 4, 2, 5) == ()
 
 
 def test_representatives_are_canonical(design11, design12):
@@ -272,6 +294,10 @@ def test_design_file_roundtrip(design11):
 def test_verified_rejects_non_designs():
     with pytest.raises(ValueError):
         Design.verified([0b000111, 0b111000], 6, 2)
+    # each of points 1 and 2 lies in one block, but the blocks reach past
+    # them, so double counting would not give their number
+    with pytest.raises(ValueError, match="past the 2 points"):
+        Design.verified([0b0101, 0b1010], 2, 1)
 
 
 def test_design_header_must_name_every_parameter(design11):
@@ -331,6 +357,45 @@ def test_undecided_verdicts_are_sound(case, node_budget):
     seq, m = case
     verdict = blocks_are_canonical(seq, m, node_budget)
     assert verdict is None or verdict is brute_force_canonical(seq, m)
+
+
+def test_node_budget_is_exact():
+    # the backjump family's refutation visits exactly 71 nodes
+    seq, m = (56, 52, 42, 37, 35, 19), 6
+    assert blocks_are_canonical(seq, m, 71) is False
+    assert blocks_are_canonical(seq, m, 70) is None
+
+
+# small designs, each with its own lower strengths, for the block-count property
+SMALL_DESIGNS = [(1, 6, 3, 2), (2, 6, 3, 2), (2, 7, 3, 1), (2, 7, 3, 2), (3, 8, 4, 1)]
+
+
+@st.composite
+def relabeled_families(draw):
+    """A design or a random family of k-subsets, at a strength up to k
+    (up to the design's own), under a random relabeling."""
+    if draw(st.booleans()):
+        design = enumerate_designs(*draw(st.sampled_from(SMALL_DESIGNS)))[0]
+        m, k, blocks = design.points, design.block_size, design.blocks
+        t = draw(st.integers(0, design.strength))
+    else:
+        m = draw(st.integers(1, 6))
+        k = draw(st.integers(1, m))
+        blocks = draw(st.sets(st.sampled_from(list(ksubset_masks(m, k))), min_size=1))
+        t = draw(st.integers(0, k))
+    perm = draw(st.permutations(range(m)))
+    return tuple(permute_mask(perm, b) for b in blocks), m, k, t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(relabeled_families())
+def test_accepted_families_have_the_parameter_block_count(case):
+    # double counting: b * C(k, t) = lam * C(m, t) for every family of
+    # distinct blocks inside the point set that check_t_design accepts,
+    # which is why Design.verified compares no block count
+    blocks, m, k, t = case
+    lam, _ = check_t_design(blocks, m, t)
+    assert lam is None or block_count(t, m, k, lam) == len(blocks)
 
 
 @pytest.fixture

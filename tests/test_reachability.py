@@ -157,8 +157,6 @@ DEFAULTED_PARAMETERS = {
     "cli.main(argv)",
     "designs.blocks_are_canonical(node_budget)",
     "symmetry.StabilizerChain.__init__(generators)",
-    "symmetry.StabilizerChain.sift(start)",
-    "symmetry.BlockFamily.matches(prefix)",
     "symmetry.GroupHandle.chain",
 }
 

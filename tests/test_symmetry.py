@@ -147,6 +147,17 @@ def test_closure_trivial_and_small():
     assert closure([swap], 3).order == 2
 
 
+def test_closure_keeps_the_generators_as_given():
+    # the chain skips a repeat and the identity as members, so the handle
+    # needs no filter of its own
+    cyc = GraphAutomorphism(0, (1, 2, 3, 0))
+    flip = GraphAutomorphism(0b0101, (0, 1, 2, 3))
+    gens = [cyc, identity(4), flip, cyc]
+    group = closure(gens, 4)
+    assert group.generators == tuple(gens)
+    assert group.order == closure([cyc, flip], 4).order == 16
+
+
 def test_closure_budget_error_names_the_budget(element_budget):
     cyc = GraphAutomorphism(0, tuple((i + 1) % 8 for i in range(8)))
     flip = GraphAutomorphism(1, tuple(range(8)))

@@ -10,11 +10,10 @@ feasibility test, ``horizon``, and only a feasible one asks the one
 canonicity function, ``blocks_are_canonical``, and is pruned on a
 proven-greater relabeling, since the cheap test discards most prefixes;
 a complete solution is kept only when proved canonical, so one
-representative per class survives.  For t >= 3 a search opens with the
-star of the top point, one per derived (t-1)-design class (Kaski &
-Östergård, *Classification Algorithms for Codes and Designs*, 2006).
-The search's three budgets are the module constants ``BLOCK_BUDGET``,
-``TABLE_BUDGET`` and ``CANON_NODE_BUDGET``.
+representative per class survives (Kaski & Östergård, *Classification
+Algorithms for Codes and Designs*, 2006).  Every search opens with the
+greatest block.  The search's three budgets are the module constants
+``BLOCK_BUDGET``, ``TABLE_BUDGET`` and ``CANON_NODE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -116,14 +115,10 @@ def block_count(t: int, m: int, k: int, lam) -> Fraction:
 # ---------------------------------------------------------------------------
 # Canonicity: the sorted-descending block-bitmask sequence is compared
 # lexicographically over all point relabelings; the canonical labeling of a
-# design is the greatest.  Descending order makes every block through the
-# top point rank ahead of all others, so a canonical sequence opens with
-# the top point's star: the top bit added to a derived design's blocks.  A
-# relabeling of the other points that raised that prefix would raise the
-# whole sequence, so the derived design is itself canonical, and
-# generation opens with the derived representatives instead of testing
-# every prefix of the star.  The orderly search asks about a prefix only
-# once it passed the feasibility test.  The search below:
+# design is the greatest.  Any block can be relabeled onto the top k points,
+# so a canonical sequence opens with that greatest block.  The orderly
+# search asks about a prefix only once it passed the feasibility test.  The
+# search below:
 # - keeps label sets runs of bits in descending order (a commitment only
 #   splits a run into its top c bits and the rest);
 # - tries the newest block first: if the prefix P was accepted, a relabeling
@@ -142,10 +137,10 @@ def blocks_are_canonical(blocks, m: int, node_budget: int | None = None) -> bool
     canonical (and keep it); soundness of pruning only ever relies on
     proven-greater verdicts.  Refuting is cheap and proving is not: with
     no budget, and canonicity tested before feasibility, the 6,843
-    tests of the 3-(12,6,2) search (its derived 2-(11,5,2) search
-    included) refuted in a median of 8 nodes, 101 at the 99th
-    percentile, while 90% of all 2.7M nodes went into proving canonical
-    prefixes, 14 of which took 38k to 712k nodes each.
+    tests of the 3-(12,6,2) search (when it opened with the stars of a
+    derived 2-(11,5,2) search) refuted in a median of 8 nodes, 101 at
+    the 99th percentile, while 90% of all 2.7M nodes went into proving
+    canonical prefixes, 14 of which took 38k to 712k nodes each.
 
     Prefix-pruned search over which block realizes each image position.
     The partial relabeling is a partition of old points against new-label
@@ -237,8 +232,8 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
 
     A prefix is tested for canonicity only after it passed the
     feasibility test, which is cheaper and discards most prefixes:
-    2-(11,5,2) asks 499 canonicity questions, and 3-(12,6,2) 585 with
-    its derived search (6,103 and 6,843 with canonicity tested first).
+    2-(11,5,2) asks 499 canonicity questions (6,103 with canonicity
+    tested first), and 3-(12,6,2) 584.
     The test only has to refute, since an undecided prefix is kept like
     a proven one, so ``CANON_NODE_BUDGET`` is sized for refutations, not
     proofs; see ``blocks_are_canonical``.  Of the budgets 20 to 30,000,
@@ -246,10 +241,8 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
     tested first or last; smaller ones lose refutations and keep more
     prefixes.
 
-    For t >= 3 a sequence opens with the top point added to the blocks
-    of one representative from ``enumerate_designs(t-1, m-1, k-1, lam)``,
-    which shares its cache entry with a direct call; for t <= 2 the
-    greatest block opens (1-design stars measured slower there).
+    Every sequence opens with the greatest block, ``candidates[0]``,
+    which every class's greatest labeling holds.
 
     The node budget bounds the tests of partial solutions only.  A
     complete solution gets an exact test and is kept only when proved
@@ -264,7 +257,7 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
     ``BLOCK_BUDGET`` blocks or, before building them, when the search
     tables (one coverage counter per point subset, and each candidate
     block's subsets of size 1..t) would hold more than ``TABLE_BUDGET``
-    entries; both budget checks run before the derived enumeration.
+    entries; both budget checks run before the search.
     The budgets are read at each uncached call; a cached result stays
     as it was computed.
     """
@@ -364,7 +357,7 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
         limit = horizon(start)
         if limit is None:
             return
-        # a one-block prefix is an opening, the greatest block
+        # the one-block opening, the greatest block, is canonical
         if len(chosen) > 1 and (
             blocks_are_canonical(tuple(chosen), m, CANON_NODE_BUDGET) is False
         ):
@@ -378,26 +371,10 @@ def enumerate_designs(t: int, m: int, k: int, lam: int) -> tuple[Design, ...]:
             chosen.pop()
             bump(ci, -1)
 
-    if t <= 2:
-        openings = [(candidates[0],)]  # only the greatest block
-    else:
-        # the top point's canonical stars: the top bit added to each
-        # representative of the derived design
-        top = 1 << (m - 1)
-        openings = [
-            tuple(top | d for d in reversed(derived.blocks))
-            for derived in enumerate_designs(t - 1, m - 1, k - 1, lam)
-        ]
-    for opening in openings:
-        opened = [candidates.index(block) for block in opening]
-        for ci in opened:
-            assert can_add(ci)  # an opening covers nothing past its caps
-            bump(ci, 1)
-            chosen.append(candidates[ci])
-        descend(opened[-1] + 1)
-        for ci in opened:
-            bump(ci, -1)
-        chosen.clear()
+    # one block covers each subset once, and every cap is at least lam
+    bump(0, 1)
+    chosen.append(candidates[0])
+    descend(1)
 
     # every class contains its canonical (greatest) labeling, which is
     # never pruned and is the only one of its class proved canonical

@@ -81,19 +81,16 @@ def certify_completely_regular(code: Code) -> RegularityCertificate:
     reference = [data[v * stride : (v + 1) * stride] for v in least]
     expected = b"".join(map(reference.__getitem__, cells))
     if expected != data:
-        # bisect for the least failing vertex: rows below lo all match
-        lo, hi = 0, len(cells)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            span = slice(lo * stride, mid * stride)
-            if data[span] == expected[span]:
-                lo = mid
-            else:
-                hi = mid
-        i = cells[lo]
-        row, ref = dist.row(lo), dist.row(least[i])
+        # the least vertex whose row differs from its cell's reference row
+        v = next(
+            v
+            for v, i in enumerate(cells)
+            if data[v * stride : (v + 1) * stride] != reference[i]
+        )
+        i = cells[v]
+        row, ref = dist.row(v), dist.row(least[i])
         k = next(a for a in range(code.length + 1) if row[a] != ref[a])
-        return RegularityCertificate(False, rho, None, (i, least[i], lo, k))
+        return RegularityCertificate(False, rho, None, (i, least[i], v, k))
     return RegularityCertificate(True, rho, tuple(map(dist.row, least)), None)
 
 

@@ -356,10 +356,10 @@ class BlockFamily:
                 f"past the matcher budget of {MATCHER_BUDGET}"
             )
 
-    def matches(self, dst: BlockFamily, prefix: Sequence[int]):
-        """Yield image tuples, one per permutation mapping this family onto
-        ``dst``, in lexicographic order; point i < len(prefix) is pinned
-        to prefix[i].
+    def match(self, dst: BlockFamily, prefix: Sequence[int]) -> tuple[int, ...] | None:
+        """The lexicographically least image tuple of a permutation mapping
+        this family onto ``dst``, or None when the exhausted search finds
+        none; point i < len(prefix) is pinned to prefix[i].
 
         Points are assigned in ascending order, each to a point of its
         colour; a candidate image survives only while every partially
@@ -371,16 +371,15 @@ class BlockFamily:
         # block sizes, not counts: no feasibility test visits an empty block
         mismatch = sorted(self.sizes) != sorted(dst.sizes)
         if mismatch or sorted(self.colors) != sorted(dst.colors):
-            return
+            return None
         m, sizes, through = self.m, self.sizes, self.through
         image = [0] * m
         partial = [0] * len(self.blocks)
-        free = list(sizes)
         used = 0
 
         def feasible(bi: int) -> bool:
             pmask = partial[bi]
-            if free[bi] == 0:
+            if pmask.bit_count() == sizes[bi]:
                 return pmask in dst.block_set
             targets = dst.by_size.get(sizes[bi], ())
             for n, d in enumerate(targets, 1):
@@ -390,11 +389,10 @@ class BlockFamily:
             self.charge(len(targets))
             return False
 
-        def extend(p: int):
+        def extend(p: int) -> bool:
             nonlocal used
             if p == m:
-                yield tuple(image)
-                return
+                return True
             candidates = dst.cells.get(self.colors[p], ())
             if p < len(prefix):
                 candidates = (prefix[p],) if prefix[p] in candidates else ()
@@ -403,18 +401,17 @@ class BlockFamily:
                 if used & bit:
                     continue
                 image[p] = q
-                used |= bit
+                used ^= bit
                 for bi in through[p]:
-                    partial[bi] |= bit
-                    free[bi] -= 1
-                if all(feasible(bi) for bi in through[p]):
-                    yield from extend(p + 1)
+                    partial[bi] ^= bit
+                if all(feasible(bi) for bi in through[p]) and extend(p + 1):
+                    return True
                 for bi in through[p]:
-                    partial[bi] &= ~bit
-                    free[bi] += 1
-                used &= ~bit
+                    partial[bi] ^= bit
+                used ^= bit
+            return False
 
-        yield from extend(0)
+        return tuple(image) if extend(0) else None
 
 
 def find_family_isomorphism(
@@ -423,7 +420,7 @@ def find_family_isomorphism(
     """One permutation mapping the source block family onto the
     destination family, or None when the exhausted search proves there
     is none."""
-    return next(src.matches(dst, ()), None)
+    return src.match(dst, ())
 
 
 def setwise_stabilizer_perms(family: BlockFamily) -> GroupHandle:
@@ -451,7 +448,7 @@ def setwise_stabilizer_perms(family: BlockFamily) -> GroupHandle:
         for q in family.cells[family.colors[d]]:
             if 2 * q in group.transversal[d]:
                 continue
-            perm = next(family.matches(family, tuple(range(d)) + (q,)), None)
+            perm = family.match(family, tuple(range(d)) + (q,))
             if perm is not None:
                 gens.append(GraphAutomorphism(0, perm))
                 group.add(gens[-1])

@@ -400,8 +400,7 @@ def test_accepted_families_have_the_parameter_block_count(case):
 
 @pytest.fixture
 def canonicity_log(monkeypatch):
-    """Every (blocks, m, verdict) the canonicity test returns, for uncached
-    searches: the derived search goes through the uncached one too."""
+    """Every (blocks, m, verdict) the canonicity test returns."""
     log = []
     decide = designs.blocks_are_canonical
 
@@ -411,15 +410,13 @@ def canonicity_log(monkeypatch):
         return verdict
 
     monkeypatch.setattr(designs, "blocks_are_canonical", recording)
-    monkeypatch.setattr(designs, "enumerate_designs", enumerate_designs.__wrapped__)
     return log
 
 
 @pytest.fixture
 def budgets(monkeypatch):
-    """Sets the search budgets for one test, with every search (the
-    derived ones too) run uncached; the cache is cleared afterwards."""
-    monkeypatch.setattr(designs, "enumerate_designs", enumerate_designs.__wrapped__)
+    """Sets the search budgets for one test; the cache is cleared
+    afterwards."""
 
     def set_budgets(**values):
         for name, value in values.items():
@@ -448,8 +445,8 @@ def test_canonicity_matches_brute_force_on_orderly_prefixes(canonicity_log, budg
 
 def test_default_budget_keeps_the_exhaustive_representatives(canonicity_log, budgets):
     # undecided prefixes are kept, so the small default budget changes the
-    # work but not the output; the derived search is uncached too, so
-    # every check runs and is seen
+    # work but not the output; the search is uncached, so every check
+    # runs and is seen
     search, default = enumerate_designs.__wrapped__, designs.CANON_NODE_BUDGET
     for params, count in (((2, 11, 5, 2), 14), ((3, 12, 6, 2), 25)):
         budgets(CANON_NODE_BUDGET=default)
@@ -464,17 +461,17 @@ def test_default_budget_keeps_the_exhaustive_representatives(canonicity_log, bud
 
 @pytest.mark.parametrize(
     "params, asked",
-    [((2, 8, 4, 3), 475), ((2, 11, 5, 2), 499), ((3, 12, 6, 2), 585)],
+    [((2, 8, 4, 3), 475), ((2, 11, 5, 2), 499), ((3, 12, 6, 2), 584)],
     ids=["2-8-4-3", "2-11-5-2", "3-12-6-2"],
 )
 def test_canonicity_is_asked_only_of_feasible_prefixes(canonicity_log, params, asked):
     # the coverage prunes run first, so canonicity is asked once per
-    # feasible prefix: 499 and 585 times for the two designs of the
-    # classification (6,103 and 6,843 when canonicity ran first).  A
+    # feasible prefix: 499 and 584 times for the two designs of the
+    # classification (6,103 for the first when canonicity ran first).  A
     # prune that lets an infeasible prefix through asks more, and one
     # that drops a feasible prefix asks fewer; in 2-(8,4,3) such
     # prefixes lead to no design, so only this count shows them
-    designs.enumerate_designs(*params)
+    enumerate_designs.__wrapped__(*params)
     assert len(canonicity_log) == asked
 
 
@@ -489,12 +486,13 @@ def test_complete_solutions_are_decided_at_any_budget(canonicity_log, budgets, p
     assert complete and None not in complete
 
 
-def test_derived_search_shares_the_cache_entry():
+def test_one_search_is_one_cache_miss():
+    # the search never calls itself, so a t = 3 search looks up no
+    # (t - 1)-design search
     enumerate_designs.cache_clear()
-    enumerate_designs(2, 11, 5, 2)
-    enumerate_designs(3, 12, 6, 2)  # derived: (2, 11, 5, 2)
+    enumerate_designs(3, 12, 6, 2)
     info = enumerate_designs.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -587,9 +585,7 @@ def test_labelled_count_matches_the_orbit_sum(params):
     assert sum(factorial(m) // order for order in orders) == labelled
 
 
-@pytest.mark.parametrize(
-    "params", sorted(p for p in LABELLED_DESIGNS if p[0] <= 2), ids=parameter_id
-)
+@pytest.mark.parametrize("params", sorted(LABELLED_DESIGNS), ids=parameter_id)
 def test_feasibility_prunes_keep_every_completable_prefix(monkeypatch, params):
     # with every canonicity verdict True the search returns each labelled
     # design through the opening (greatest) block, unless a prune drops a
@@ -601,7 +597,7 @@ def test_feasibility_prunes_keep_every_completable_prefix(monkeypatch, params):
     assert len(found) * comb(m, k) == LABELLED_DESIGNS[params] * block_count(*params)
 
 
-# the representatives the search returned before it opened with stars
+# the one representative of each of three t = 3 parameter sets
 PINNED_REPRESENTATIVES = {
     (3, 8, 4, 2): (
         15, 23, 43, 53, 58, 60, 77, 86, 89, 90, 99, 102, 108, 113,
@@ -640,15 +636,8 @@ def test_top_star_is_a_derived_representative(params):
         assert star in derived
 
 
-def test_derived_enumeration_inherits_the_budgets(budgets, monkeypatch):
-    calls = []
-    search = enumerate_designs.__wrapped__  # uncached, so every recursion is seen
-
-    def counting(*args):
-        calls.append((args, designs.BLOCK_BUDGET, designs.TABLE_BUDGET))
-        return search(*args)
-
-    monkeypatch.setattr(designs, "enumerate_designs", counting)
+def test_derived_enumeration_inherits_the_budgets(budgets):
+    search = enumerate_designs.__wrapped__
     # 3-(12,6,2): 22 blocks and 2^12 + 924 * (6 + 15 + 20) = 41,980 entries
     budgets(BLOCK_BUDGET=21)
     with pytest.raises(ResourceBudgetError, match="22 blocks"):
@@ -656,7 +645,5 @@ def test_derived_enumeration_inherits_the_budgets(budgets, monkeypatch):
     budgets(BLOCK_BUDGET=22, TABLE_BUDGET=41979)
     with pytest.raises(ResourceBudgetError, match="41980 table entries"):
         search(3, 12, 6, 2)
-    assert calls == []
     budgets(BLOCK_BUDGET=20, CANON_NODE_BUDGET=5000, TABLE_BUDGET=1300)
     assert len(search(3, 8, 4, 1)) == 1
-    assert calls == [((2, 7, 3, 1), 20, 1300)]

@@ -14,15 +14,17 @@ import dataclasses
 import json
 import re
 import sys
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import cregcert.cli  # noqa: F401  (binds the shared routines it imports too)
-from cregcert import classify, designs, regularity, spectral, symmetry
+from cregcert import classify, designs, hadamard, regularity, spectral, symmetry
 from cregcert.certs import ResourceBudgetError
 from cregcert.classify import build_report, certify_theorem, report_json, verify_report
-from cregcert.codes import _block_table
+from cregcert.codes import Code, _block_table
 
 # the caches a faulty result would outlive its test in
 _CACHES = (
@@ -108,6 +110,35 @@ def _sift_by_the_element(original):
     return faulty
 
 
+def _reversed_bit_order(original):
+    # point i lands at bit m - i: a coordinate relabeling of the code
+    def faulty(matrix):
+        code = original(matrix)
+        m = code.length
+        return Code(m, [int(format(w, f"0{m}b")[::-1], 2) for w in code.words])
+
+    return faulty
+
+
+def _unshifted_divisor(original):
+    # lam * C(m-i, t-i) / C(k, t-i): the divisor's k not lowered by i,
+    # which leaves the block count (i = 0) as it was
+    def faulty(t, m, k, lam, i):
+        original(t, m, k, lam, i)  # its range check
+        return Fraction(lam) * comb(m - i, t - i) / comb(k, t - i)
+
+    return faulty
+
+
+def _inverted_sigma(original):
+    # the permutation carrying c2 onto c1 instead
+    def faulty(c1, c2):
+        x = original(c1, c2)
+        return None if x is None else symmetry.inverse(x)
+
+    return faulty
+
+
 # routine -> (its owner, the fault, where the fault shows)
 CASES = {
     "certify_completely_regular": (regularity, _raised_f0, "replay"),
@@ -116,6 +147,9 @@ CASES = {
     "permute_mask": (symmetry, _fixed_near_full_words, "theorem"),
     "macwilliams_transform": (spectral, _raised_first_entry, "replay"),
     "check_t_design": (designs, _no_counterexample, "chain"),
+    "code_of": (hadamard, _reversed_bit_order, "silent"),
+    "lambda_i": (designs, _unshifted_divisor, "chain"),
+    "find_equivalence": (symmetry, _inverted_sigma, "replay"),
     "StabilizerChain.sift": (
         symmetry.StabilizerChain,
         _sift_by_the_element,

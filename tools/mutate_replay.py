@@ -1,7 +1,8 @@
-"""A mutation sweep of the replay's own checks in ``classify.py``, or of
-the design search in ``designs.py``.
+"""A mutation sweep of the replay's own checks in ``classify.py``, of
+the design search in ``designs.py`` or of the permutation backtracking
+in ``symmetry.py``.
 
-    python3 tools/mutate_replay.py [replay|designs]
+    python3 tools/mutate_replay.py [replay|designs|matcher]
 
 Each mutant changes one operator in one target function: ``<`` becomes
 ``<=`` and ``>`` becomes ``>=`` or back, an equality, identity or
@@ -10,7 +11,8 @@ is dropped.  The ``replay`` target (the default) takes the ``_read_*``
 readers, ``_replay``, ``_differences``, ``_field_faults``,
 ``_chain_faults`` and ``verify_report``; the ``designs`` target takes
 ``Design``, ``check_t_design``, ``blocks_are_canonical`` and
-``enumerate_designs``.  Each mutant is written into a copy of the
+``enumerate_designs``; the ``matcher`` target takes ``BlockFamily`` and
+``setwise_stabilizer_perms``.  Each mutant is written into a copy of the
 checkout and the target's tests run against it; a failing test kills
 it.  A survivor is a check no test needs: kill it with a test, delete
 the check as redundant, or, for a prune that changes no output, show
@@ -31,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 REPLAY = {"_replay", "_differences", "_field_faults", "_chain_faults", "verify_report"}
 SEARCH = {"Design", "check_t_design", "blocks_are_canonical", "enumerate_designs"}
+MATCHER = {"BlockFamily", "setwise_stabilizer_perms"}
 # target -> (its file, which top-level definitions it mutates, its tests)
 TARGETS = {
     "replay": ("src/cregcert/classify.py",
@@ -39,6 +42,9 @@ TARGETS = {
                 "tests/test_acceptance.py"]),
     "designs": ("src/cregcert/designs.py", SEARCH.__contains__,
                 ["tests/test_designs.py", "tests/test_acceptance.py"]),
+    "matcher": ("src/cregcert/symmetry.py", MATCHER.__contains__,
+                ["tests/test_symmetry.py", "tests/test_stabilizer_chain.py",
+                 "tests/test_acceptance.py"]),
 }  # fmt: skip
 SWAPPED = {ast.Lt: ast.LtE, ast.Gt: ast.GtE, ast.Eq: ast.NotEq, ast.Is: ast.IsNot,
            ast.In: ast.NotIn}  # fmt: skip

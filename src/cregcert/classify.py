@@ -15,10 +15,11 @@ the design from ``enumerate_designs``, sigma from ``find_equivalence``
 and the code's group from ``code_automorphism_group``.
 ``verify_report`` reads each of those outputs from the witness that
 records it and checks it directly (the design as a t-design of index 2,
-sigma as a map onto the reference code, the generators by their
-stabilizer chain).  It then rebuilds each certificate from the report's
-parameters and its witnessed search outputs, and compares.  One recorded
-fact is taken as is: the design class count.
+sigma as a map onto the reference code, whose words it rebuilds from
+the quadratic residues mod 11 with no Hadamard matrix, the generators
+by their stabilizer chain).  It then rebuilds each certificate from the
+report's parameters and its witnessed search outputs, and compares.
+One recorded fact is taken as is: the design class count.
 """
 
 from __future__ import annotations
@@ -526,7 +527,21 @@ def _read_design(p: _Inputs, witness: dict) -> None:
     p.class_count, p.design = count, design
 
 
+def _residue_words(m: int) -> set[int]:
+    """The reference code's words built as bitmasks from the quadratic
+    residues R mod 11, sharing no code with ``reference_code``: 0, the
+    all-ones word, the words with coordinate 2 + (i + r) mod 11 set for
+    r in {0} | R, one per i in 0..10, and their complements.  At m = 11
+    coordinate 1 (bit 0) is punctured."""
+    residues = {x * x % 11 for x in range(1, 11)}
+    rows = [sum(1 << 1 + (i + r) % 11 for r in {0} | residues) for i in range(11)]
+    full = (1 << 12) - 1
+    return {w >> 12 - m for w in (0, full, *rows, *(full ^ w for w in rows))}
+
+
 def _read_sigma(p: _Inputs, witness: dict) -> None:
+    if set(p.reference.words) != _residue_words(p.m):
+        raise _Mismatch("the reference code is not the quadratic-residue code")
     sigma = witness.get("sigma")
     if sigma is not None:
         perm = tuple(q - 1 for q in sigma)

@@ -6,11 +6,12 @@ covering radius, distance partition and distribution) is computed
 exhaustively in exact arithmetic and cached on first use; at 2^m <= 4096
 vertices the exhaustive scan *is* the certificate.  Every distance fact
 is read from one cached scan, the outer distribution: each vertex's
-counts f_0..f_m as 16-bit fields, vertices in ascending order, in one
-``bytes`` object; the distribution sums the codewords' rows.  The scan
-works on blocks of 2^h vertices that share their high bits: one table
-add per codeword fills its block, and m - h butterfly passes over whole
-blocks spread the counts.
+counts f_0..f_m as fields of one byte, or of two when a count could
+reach 256, vertices in ascending order, in one ``bytes`` object; the
+distribution sums the codewords' rows.  The scan works on blocks of 2^h
+vertices that share their high bits: one table add per codeword fills
+its block, and m - h butterfly passes over whole blocks spread the
+counts.
 """
 
 from __future__ import annotations
@@ -19,17 +20,18 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Iterable
 
 from .certs import ResourceBudgetError
 from .hamming import ASCII_SPACE, check_length, format_mask, parse_mask
 
-# 16-bit fields the scan holds, 2^m * (m+1); admits every m <= 18
+# fields the scan holds, 2^m * (m+1), whatever their width; admits
+# every m <= 18
 SCAN_BUDGET = 1 << 23
 # codeword lines a code file may hold: the full space of length 18, the
 # largest code the scan admits
 WORD_LINE_BUDGET = 1 << 18
-FIELD_BITS = 16
 # low bits of a scan block: a block holds the rows of 2^h vertices
 MAX_BLOCK_BITS = 6
 
@@ -37,13 +39,20 @@ MAX_BLOCK_BITS = 6
 _NONZERO = bytes.maketrans(bytes(range(256)), b"\x00" + b"\xff" * 255)
 
 
+def _field_bytes(m: int, size: int) -> int:
+    """The bytes of one scan field for a code of ``size`` words: 1 when
+    no count can reach 256, else 2.  A count f_k(nu) is at most
+    min(N, C(m, k)) <= min(N, C(m, m // 2))."""
+    return 1 if min(size, comb(m, m // 2)) < 256 else 2
+
+
 @lru_cache(maxsize=None)
-def _block_table(m: int, h: int) -> tuple[int, ...]:
+def _block_table(m: int, h: int, field_bits: int) -> tuple[int, ...]:
     """Entry u: the rows of a 2^h-vertex block holding the one word u,
-    row v (m+1 fields from bit FIELD_BITS*(m+1)*v) being z^wt(u xor v)."""
-    row_bits, vs = FIELD_BITS * (m + 1), range(1 << h)
+    row v (m+1 fields from bit field_bits*(m+1)*v) being z^wt(u xor v)."""
+    row_bits, vs = field_bits * (m + 1), range(1 << h)
     return tuple(
-        sum(1 << (row_bits * v + FIELD_BITS * (u ^ v).bit_count()) for v in vs)
+        sum(1 << (row_bits * v + field_bits * (u ^ v).bit_count()) for v in vs)
         for u in vs
     )
 
@@ -109,7 +118,8 @@ class Code:
     def outer_distribution(self) -> "OuterDistribution":
         """f_k(nu) = |Gamma_k(nu) cap C| for all 2^m vertices nu: the
         code's one vertex scan.  Row nu is the sum over codewords c of
-        z^wt(nu xor c), z^k being its 16-bit field k.  One int holds the
+        z^wt(nu xor c), z^k being its field k: one byte when every count
+        is below 256 (``_field_bytes``), else two.  One int holds the
         rows of a block, the 2^h vertices (h = min(m // 2, 6)) sharing
         their high bits; each codeword adds its table entry to its block.
         Each of m - h passes then pairs the lower and upper halves of the
@@ -125,21 +135,24 @@ class Code:
             )
         h = min(m // 2, MAX_BLOCK_BITS)
         low = (1 << h) - 1
-        table = _block_table(m, h)
+        width = _field_bytes(m, self.size)
+        bits = 8 * width
+        table = _block_table(m, h, bits)
         blocks = [0] * (1 << (m - h))
         for w in self.words:
             blocks[w >> h] += table[w & low]
         # after j passes field k of a row counts codewords that differ from
         # its vertex on k of the h+j coordinates summed over so far and
-        # agree on the rest: at most C(18, 9) = 48,620 < 2^16, so no field
-        # carries into the next.  Fields above h+j are zero, so field m is
-        # zero until the last pass and a shift never reaches the next row.
+        # agree on the rest: at most min(N, C(m, m // 2)), which the field
+        # width holds (C(18, 9) = 48,620 < 2^16), so no field carries into
+        # the next.  Fields above h+j are zero, so field m is zero until
+        # the last pass and a shift never reaches the next row.
         half = len(blocks) // 2
         for _ in range(m - h):
             lo, hi = blocks[:half], blocks[half:]
-            blocks[0::2] = [a + (b << FIELD_BITS) for a, b in zip(lo, hi)]
-            blocks[1::2] = [b + (a << FIELD_BITS) for a, b in zip(lo, hi)]
-        size = 2 * (m + 1) << h
+            blocks[0::2] = [a + (b << bits) for a, b in zip(lo, hi)]
+            blocks[1::2] = [b + (a << bits) for a, b in zip(lo, hi)]
+        size = width * (m + 1) << h
         data = b"".join(b.to_bytes(size, "little") for b in blocks)
         return OuterDistribution(m, data, _lowest_nonzero_fields(data, m))
 
@@ -251,9 +264,11 @@ class Code:
 
 def _lowest_nonzero_fields(data: bytes, m: int) -> bytes:
     """Each row's lowest nonzero field (its vertex's cell index), one
-    byte per vertex, read a column of fields at a time."""
-    stride = 2 * (m + 1)
-    n = len(data) // stride
+    byte per vertex, read a column of fields at a time: one strided
+    slice per byte of a field."""
+    n = 1 << m
+    stride = len(data) >> m
+    width = stride // (m + 1)
 
     def nonzero(offset: int) -> int:
         # 0xFF in byte nu where byte ``offset`` of row nu is nonzero
@@ -261,7 +276,9 @@ def _lowest_nonzero_fields(data: bytes, m: int) -> bytes:
 
     unset, cells = (1 << 8 * n) - 1, 0
     for k in range(m + 1):
-        first = (nonzero(2 * k) | nonzero(2 * k + 1)) & unset
+        first = 0
+        for offset in range(width * k, width * (k + 1)):
+            first |= nonzero(offset) & unset
         cells |= first & int.from_bytes(bytes([k]) * n, "little")
         unset ^= first
         if not unset:
@@ -273,8 +290,9 @@ def _lowest_nonzero_fields(data: bytes, m: int) -> bytes:
 class OuterDistribution:
     """f_k(nu) for every vertex nu, with each vertex's cell index.
 
-    ``data`` holds the rows in vertex order, 2(m+1) bytes each, f_k(nu)
-    little-endian at byte 2(m+1)nu + 2k, so two vertices have equal rows
+    ``data`` holds the rows in vertex order, ``row_bytes`` = w(m+1) bytes
+    each for fields of w bytes (w = 1 or 2, as the scan chose), f_k(nu)
+    little-endian at byte w(m+1)nu + wk, so two vertices have equal rows
     iff their slices are equal.  ``cell_index[nu]`` is nu's distance to
     the code, its row's lowest nonzero field.
     """
@@ -285,17 +303,25 @@ class OuterDistribution:
 
     @property
     def row_bytes(self) -> int:
-        return 2 * (self.length + 1)
+        return len(self.data) >> self.length
+
+    @property
+    def _field(self) -> str:
+        # the struct format of one field: "B" for one byte, "H" for two
+        return "B" if self.row_bytes == self.length + 1 else "H"
 
     def row(self, mask: int) -> tuple[int, ...]:
         width = self.length + 1
-        return struct.unpack_from(f"<{width}H", self.data, mask * self.row_bytes)
+        return struct.unpack_from(
+            f"<{width}{self._field}", self.data, mask * self.row_bytes
+        )
 
     def distinct_prefixes(self, count: int) -> set[tuple[int, ...]]:
         """The distinct prefixes (f_0..f_{count-1}) over all vertices, read
         in one ``struct.iter_unpack`` pass that skips the other fields."""
-        pad = self.row_bytes - 2 * count
-        return set(struct.iter_unpack(f"<{count}H{pad}x", self.data))
+        field = self._field
+        pad = self.row_bytes - count * struct.calcsize(field)
+        return set(struct.iter_unpack(f"<{count}{field}{pad}x", self.data))
 
 
 class DistancePartition:

@@ -273,14 +273,47 @@ def test_regularity_counterexample_matches_a_pair_scan(code):
 def test_distinct_prefixes_match_row_slices(m):
     code = Code(m, random.Random(m).sample(range(1 << m), min(5, 1 << m)))
     dist = code.outer_distribution
-    stride = 2 * (m + 1)
+    stride = dist.row_bytes
+    width, field = (1, "B") if stride == m + 1 else (2, "H")
     # count = m + 1 reads whole rows: a format with zero pad bytes
     for count in (1, code.covering_radius + 1, m + 1):
         rows = {
-            struct.unpack(f"<{count}H", dist.data[v * stride : v * stride + 2 * count])
+            struct.unpack(
+                f"<{count}{field}", dist.data[v * stride : v * stride + width * count]
+            )
             for v in range(1 << m)
         }
         assert dist.distinct_prefixes(count) == rows
+
+
+def _least_of_weight(m, k, count):
+    return [w for w in range(1 << m) if w.bit_count() == k][:count]
+
+
+@pytest.mark.parametrize(
+    "code, field_bytes, vertex, row",
+    [
+        # f_6(0) = 255, the most one byte holds; nothing carries into f_7
+        (Code(12, _least_of_weight(12, 6, 255)), 1, 0, (0,) * 6 + (255,) + (0,) * 6),
+        # f_5(0) = 256 needs two bytes
+        (Code(11, _least_of_weight(11, 5, 256)), 2, 0, (0,) * 5 + (256,) + (0,) * 6),
+        # N = 1024, but no count exceeds C(10, 5) = 252: the rule reads both
+        (Code(10, range(1 << 10)), 1, 777, tuple(comb(10, k) for k in range(11))),
+    ],
+    ids=["255-words", "256-words", "full-length-10"],
+)
+def test_scan_field_width_boundaries(code, field_bytes, vertex, row):
+    dist = code.outer_distribution
+    assert dist.row_bytes == field_bytes * (code.length + 1)
+    assert dist.row(vertex) == row
+    assert [dist.row(v) for v in range(1 << code.length)] == pair_scan(code)
+
+
+def test_scan_row_bytes(code12, code11):
+    # one byte per field for the reference codes, two for the largest scan
+    assert code12.outer_distribution.row_bytes == 13
+    assert code11.outer_distribution.row_bytes == 12
+    assert Code(18, range(1 << 18)).outer_distribution.row_bytes == 2 * 19
 
 
 @settings(max_examples=80, deadline=None)

@@ -147,7 +147,7 @@ CASES = {
     "permute_mask": (symmetry, _fixed_near_full_words, "theorem"),
     "macwilliams_transform": (spectral, _raised_first_entry, "replay"),
     "check_t_design": (designs, _no_counterexample, "chain"),
-    "code_of": (hadamard, _reversed_bit_order, "silent"),
+    "code_of": (hadamard, _reversed_bit_order, "replay"),
     "lambda_i": (designs, _unshifted_divisor, "chain"),
     "find_equivalence": (symmetry, _inverted_sigma, "replay"),
     "StabilizerChain.sift": (

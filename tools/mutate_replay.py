@@ -1,8 +1,8 @@
 """A mutation sweep of the replay's own checks in ``classify.py``, of
-the design search in ``designs.py`` or of the permutation backtracking
-in ``symmetry.py``.
+the design search in ``designs.py``, of the permutation backtracking
+in ``symmetry.py`` or of the vertex scan in ``codes.py``.
 
-    python3 tools/mutate_replay.py [replay|designs|matcher]
+    python3 tools/mutate_replay.py [replay|designs|matcher|scan]
 
 Each mutant changes one operator in one target function: ``<`` becomes
 ``<=`` and ``>`` becomes ``>=`` or back, an equality, identity or
@@ -12,12 +12,15 @@ readers, ``_replay``, ``_differences``, ``_field_faults``,
 ``_chain_faults`` and ``verify_report``; the ``designs`` target takes
 ``Design``, ``check_t_design``, ``blocks_are_canonical`` and
 ``enumerate_designs``; the ``matcher`` target takes ``BlockFamily`` and
-``setwise_stabilizer_perms``.  Each mutant is written into a copy of the
-checkout and the target's tests run against it; a failing test kills
-it.  A survivor is a check no test needs: kill it with a test, delete
-the check as redundant, or, for a prune that changes no output, show
-its value by a work counter.  A sweep takes several minutes, so it is
-not part of the test suite.  Exit 0 when every mutant is killed, 1
+``setwise_stabilizer_perms``; the ``scan`` target takes the method
+``Code.outer_distribution``, its field-width rule ``_field_bytes``,
+``_lowest_nonzero_fields`` and ``OuterDistribution``.  Each mutant is
+written into a copy of the checkout and the target's tests run against
+it; a failing test kills it.  A survivor is a check no test needs: kill
+it with a test, delete the check as redundant, or, for a prune that
+changes no output, show its value by a work counter.  A sweep takes
+from under a minute to several minutes, so it is not part of the test
+suite.  Exit 0 when every mutant is killed, 1
 otherwise.
 """
 
@@ -34,7 +37,9 @@ ROOT = Path(__file__).resolve().parents[1]
 REPLAY = {"_replay", "_differences", "_field_faults", "_chain_faults", "verify_report"}
 SEARCH = {"Design", "check_t_design", "blocks_are_canonical", "enumerate_designs"}
 MATCHER = {"BlockFamily", "setwise_stabilizer_perms"}
-# target -> (its file, which top-level definitions it mutates, its tests)
+SCAN = {"Code.outer_distribution", "_field_bytes", "_lowest_nonzero_fields",
+        "OuterDistribution"}  # fmt: skip
+# target -> (its file, which definitions it mutates, its tests)
 TARGETS = {
     "replay": ("src/cregcert/classify.py",
                lambda name: name.startswith("_read_") or name in REPLAY,
@@ -45,6 +50,9 @@ TARGETS = {
     "matcher": ("src/cregcert/symmetry.py", MATCHER.__contains__,
                 ["tests/test_symmetry.py", "tests/test_stabilizer_chain.py",
                  "tests/test_acceptance.py"]),
+    "scan": ("src/cregcert/codes.py", SCAN.__contains__,
+             ["tests/test_codes.py", "tests/test_regularity.py",
+              "tests/test_spectral.py"]),
 }  # fmt: skip
 SWAPPED = {ast.Lt: ast.LtE, ast.Gt: ast.GtE, ast.Eq: ast.NotEq, ast.Is: ast.IsNot,
            ast.In: ast.NotIn}  # fmt: skip
@@ -53,7 +61,9 @@ SWAPPED.update({v: k for k, v in SWAPPED.items()})
 
 class Mutator(ast.NodeTransformer):
     """Numbers the operators of the selected definitions in visiting order
-    and rewrites the one numbered ``target``, recording its ``label``."""
+    and rewrites the one numbered ``target``, recording its ``label``.
+    A top-level definition is selected by its name, a method of a class
+    that is not by ``Class.method``."""
 
     def __init__(self, target: int, selected):
         self.target, self.selected, self.count, self.label = target, selected, 0, None
@@ -68,6 +78,12 @@ class Mutator(ast.NodeTransformer):
         for fn in node.body:
             if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and self.selected(fn.name):
                 self.generic_visit(fn)
+            elif isinstance(fn, ast.ClassDef):
+                for method in fn.body:
+                    if isinstance(method, ast.FunctionDef) and self.selected(
+                        f"{fn.name}.{method.name}"
+                    ):
+                        self.generic_visit(method)
         return node
 
     def visit_Compare(self, node):
